@@ -667,7 +667,6 @@ fn link_soak() -> Row {
 // ---------------------------------------------------------------------
 
 fn device_chaos() -> Row {
-    use router_core::dataplane::control::DeviceHealth;
     use rp_netdev::loopback::LoopbackDev;
     use rp_netdev::{DeviceSupervisorConfig, FaultProgram, FaultyDev, IoPlane};
 
@@ -727,7 +726,7 @@ fn device_chaos() -> Row {
         if plane
             .device_rows()
             .iter()
-            .any(|r| r.health == DeviceHealth::Quarantined)
+            .any(|r| r.health == Some(HealthState::Quarantined))
         {
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -740,7 +739,10 @@ fn device_chaos() -> Row {
         plane.poll_until_quiet(4, 200);
         while out_handle.drain_tx().is_some() {}
         let rows = plane.device_rows();
-        if rows.iter().all(|r| r.health != DeviceHealth::Quarantined) || Instant::now() >= deadline
+        if rows
+            .iter()
+            .all(|r| r.health != Some(HealthState::Quarantined))
+            || Instant::now() >= deadline
         {
             break;
         }

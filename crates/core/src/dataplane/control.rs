@@ -23,16 +23,6 @@ use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use std::net::IpAddr;
 
-/// A supervision report with its origin: `None` on a single router,
-/// `Some(shard)` on a parallel data plane.
-#[derive(Debug, Clone)]
-pub struct ShardHealthReport {
-    /// Which shard the report came from (None = unsharded router).
-    pub shard: Option<usize>,
-    /// The instance's supervision snapshot.
-    pub report: HealthReport,
-}
-
 /// One row of a `stats` report: a label ("total", "shard 0", …) plus the
 /// data-path and flow-cache counters behind it.
 #[derive(Debug, Clone)]
@@ -67,7 +57,7 @@ pub struct ShardStatus {
     /// (restarted at least once, serving), `Quarantined` (not serving:
     /// awaiting its restart backoff, or out of restart budget).
     pub health: HealthState,
-    /// Completed restarts of this shard.
+    /// Restart attempts of this shard, ok or failed.
     pub restarts: u32,
     /// Packets dispatched to the current incarnation.
     pub sent: u64,
@@ -139,36 +129,6 @@ impl DeviceStats {
     }
 }
 
-/// Supervision state of a bound network device — the third tier of the
-/// Healthy→Degraded→Quarantined architecture (plugins, shards, devices).
-/// Lives here so the control plane can render it without knowing the
-/// supervising I/O plane's type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeviceHealth {
-    /// The I/O plane runs without device supervision (the default).
-    #[default]
-    Unsupervised,
-    /// Serving, no concerning error/stall pattern.
-    Healthy,
-    /// Serving, but its error window or rx-stall streak crossed the
-    /// degradation threshold (or it is on post-reopen probation).
-    Degraded,
-    /// Taken off the wire: ingress skipped, egress counted as device-tx
-    /// drops, awaiting a `reopen()` attempt under capped backoff.
-    Quarantined,
-}
-
-impl std::fmt::Display for DeviceHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            DeviceHealth::Unsupervised => "unsupervised",
-            DeviceHealth::Healthy => "healthy",
-            DeviceHealth::Degraded => "degraded",
-            DeviceHealth::Quarantined => "quarantined",
-        })
-    }
-}
-
 /// One row of the pmgr `devices` report: a bound network device and its
 /// counters.
 #[derive(Debug, Clone)]
@@ -179,9 +139,9 @@ pub struct DeviceRow {
     pub iface: IfIndex,
     /// The device's I/O counters.
     pub stats: DeviceStats,
-    /// Supervision health ([`DeviceHealth::Unsupervised`] when the I/O
-    /// plane runs without a device supervisor).
-    pub health: DeviceHealth,
+    /// Supervision health; `None` when the I/O plane runs without a
+    /// device supervisor.
+    pub health: Option<HealthState>,
     /// Times the device was quarantined.
     pub quarantines: u64,
     /// Successful quarantine→reopen cycles.
@@ -229,7 +189,7 @@ pub trait ControlPlane {
     /// Live instances, human-readable.
     fn cp_describe_instances(&self) -> Vec<String>;
     /// Supervision state, labelled by shard where applicable.
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport>;
+    fn cp_health_reports(&self) -> Vec<HealthReport>;
     /// Loaded plugin names.
     fn cp_loaded_plugins(&self) -> Vec<String>;
     /// Statistics rows: the merged total first, then any per-shard
@@ -311,14 +271,8 @@ impl ControlPlane for Router {
     fn cp_describe_instances(&self) -> Vec<String> {
         self.describe_instances()
     }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
+    fn cp_health_reports(&self) -> Vec<HealthReport> {
         self.health_reports()
-            .into_iter()
-            .map(|report| ShardHealthReport {
-                shard: None,
-                report,
-            })
-            .collect()
     }
     fn cp_loaded_plugins(&self) -> Vec<String> {
         self.loader.loaded()

@@ -28,29 +28,27 @@
 //!
 //! # Shard supervision
 //!
-//! The shard workers are supervised with the same
-//! Healthy→Degraded→Quarantined machine the plugin supervisor applies to
-//! instances, one level up:
+//! Each shard worker runs the shared [`crate::health`] machine; this
+//! tier supplies its symptoms and its recovery action:
 //!
-//! * **Containment** — the shard loop runs under `catch_unwind`
-//!   ([`shard::run_shard`]); a panic escaping a control closure kills
-//!   only that shard. The dispatcher detects dead or disconnected
-//!   workers and quarantines them.
-//! * **Liveness** — each worker writes a heartbeat (busy flag +
-//!   timestamp); the dispatcher's watchdog classifies a worker stuck
-//!   inside one message longer than
-//!   [`ParallelRouterConfig::stall_timeout`] as stalled, abandons that
-//!   incarnation, and every control fan-out / barrier wait carries a
-//!   timeout with per-shard partial replies (`[shard i] unresponsive`)
-//!   instead of blocking forever.
-//! * **Rebuild** — every state-mutating control command is recorded in a
-//!   [`CommandJournal`]; a quarantined shard is restarted (capped
-//!   exponential backoff from the router's [`FaultPolicy`], here in
-//!   *real* time — heartbeats of OS threads are wall-clock) by replaying
-//!   the journal into a fresh [`Router`], which returns its instance and
-//!   filter ids to lockstep with the survivors. Flow-cache soft state is
-//!   *not* restored: the next packet of each flow re-classifies, exactly
-//!   the paper's first-packet path.
+//! * **Symptoms → faults** — the shard loop runs under `catch_unwind`
+//!   ([`shard::run_shard`]), so a panic escaping a control closure kills
+//!   only that shard, and the dispatcher counts the dead worker as a
+//!   fault. Each worker also writes a heartbeat (busy flag + timestamp);
+//!   the watchdog counts a worker stuck inside one message longer than
+//!   [`ParallelRouterConfig::stall_timeout`] as a fault and abandons
+//!   that incarnation. One fault quarantines a shard, and every control
+//!   fan-out and flush barrier carries a timeout with per-shard partial
+//!   replies (`[shard i] unresponsive`) instead of blocking forever.
+//! * **Recovery** — every state-mutating control command is recorded in
+//!   a [`CommandJournal`]; a due restart replays the journal into a
+//!   fresh [`Router`] on a new worker thread, which returns its instance
+//!   and filter ids to lockstep with the survivors. A failed thread spawn
+//!   is a failed recovery. Flow-cache soft state is *not* restored: the
+//!   next packet of each flow re-classifies, exactly the paper's
+//!   first-packet path. Backoff and budget come from the router's
+//!   [`FaultPolicy`](crate::supervisor::FaultPolicy), read as wall-clock
+//!   nanoseconds.
 //! * **Overload** — dispatch to a full or unhealthy shard is
 //!   policy-driven: bounded wait ([`ParallelRouterConfig::overload_wait`])
 //!   then a counted drop ([`DropReason::ShardOverload`] /
@@ -64,21 +62,20 @@ pub mod dispatch;
 pub mod journal;
 pub mod shard;
 
-pub use control::{
-    ControlPlane, MetricsRow, ShardHealthReport, ShardStatus, ShardTraceEvent, StatsRow,
-};
+pub use control::{ControlPlane, MetricsRow, ShardStatus, ShardTraceEvent, StatsRow};
 pub use dispatch::{shard_for_packet, shard_for_tuple, FlowSteer, SteerConfig, SteerStats};
 pub use journal::{CommandJournal, JournaledCmd};
 pub use shard::{ShardCtx, ShardMsg, ShardReport};
 
 use crate::gate::Gate;
+use crate::health::{HealthConfig, HealthMachine};
 use crate::ip_core::{DataPathStats, DropReason};
 use crate::loader::PluginLoader;
 use crate::message::{PluginMsg, PluginReply};
 use crate::obs::{drop_reason_index, MetricsRegistry, MetricsSnapshot};
 use crate::plugin::{InstanceId, PluginError};
 use crate::router::{Router, RouterConfig};
-use crate::supervisor::{FaultPolicy, HealthState};
+use crate::supervisor::HealthReport;
 use control::{merge_replies, merge_unit, ShardAnswer};
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use rp_classifier::flow_table::FlowTableStats;
@@ -130,11 +127,9 @@ pub struct ParallelRouterConfig {
     /// Number of worker shards (each a complete single-threaded router).
     pub shards: usize,
     /// Per-shard router configuration (interfaces, gates, flow table…).
-    /// Its [`FaultPolicy`] also governs shard restarts: `restart`,
-    /// `max_restarts`, and the capped exponential backoff — with the
-    /// backoff nanoseconds interpreted as *real* time at the shard level
-    /// (worker heartbeats are wall-clock, unlike the simulated clock the
-    /// plugin supervisor runs on).
+    /// Its [`FaultPolicy`](crate::supervisor::FaultPolicy) also governs
+    /// shard restarts (`max_restarts` and the backoff ramp), with the
+    /// backoff nanoseconds read as wall-clock time at the shard level.
     pub router: RouterConfig,
     /// Depth of each shard's ingress FIFO.
     pub ingress_depth: usize,
@@ -171,10 +166,6 @@ impl Default for ParallelRouterConfig {
     }
 }
 
-fn initial_backoff(policy: &FaultPolicy) -> Duration {
-    Duration::from_nanos(policy.restart_backoff_ns.max(1))
-}
-
 /// The dispatcher's handle to one shard worker plus its supervision
 /// state. All fields live on the dispatcher side (or in the shared
 /// heartbeat block), so health decisions never require the worker thread
@@ -183,16 +174,9 @@ struct ShardSlot {
     tx: ShardSender,
     join: Option<JoinHandle<ShardFinal>>,
     shared: Arc<ShardShared>,
-    health: HealthState,
-    /// Completed restarts of this shard index.
-    restarts: u32,
-    /// Next restart delay (capped doubling).
-    next_backoff: Duration,
-    /// When the pending restart becomes due.
-    restart_at: Option<Instant>,
-    /// Out of restart budget (or policy forbids restarts): permanently
-    /// quarantined, traffic shed as `ShardDown`.
-    gave_up: bool,
+    /// Health of this shard index, kept across incarnations (time base:
+    /// ns since the router's epoch).
+    machine: HealthMachine,
     last_fault: Option<String>,
     /// Packets dispatched to the *current* incarnation.
     sent: u64,
@@ -204,7 +188,7 @@ impl ShardSlot {
     /// Serving = accepts packets and control (Healthy, or Degraded after
     /// a restart). Quarantined shards are bypassed with counted sheds.
     fn serving(&self) -> bool {
-        matches!(self.health, HealthState::Healthy | HealthState::Degraded)
+        !self.machine.quarantined()
     }
 }
 
@@ -330,17 +314,29 @@ impl ParallelRouter {
             depth_scratch: vec![0; shards],
             cfg,
         };
+        // One fault quarantines a shard (a dead or stalled worker serves
+        // nothing); shards report no clean observations, so a rebuilt
+        // shard stays on Degraded probation.
+        let machine = HealthMachine::new(HealthConfig {
+            quarantine_after: 1,
+            recover_after: u32::MAX,
+            ..pr.cfg.router.fault_policy.health()
+        });
         for index in 0..shards {
-            let slot = pr.spawn_slot(index);
+            let mut slot = pr.spawn_slot(index, machine.clone());
+            if slot.join.is_none() {
+                slot.machine.fault(pr.now_ns());
+            }
             pr.slots.push(slot);
         }
         pr
     }
 
-    /// Construct and launch one shard worker (initial spawn and rebuild
-    /// share this). The router replays the journal before the thread
+    /// Construct and launch one shard worker carrying `machine` (initial
+    /// spawn and rebuild share this; each caller reports the outcome to
+    /// the machine). The router replays the journal before the thread
     /// starts, so the worker joins the array already in lockstep.
-    fn spawn_slot(&mut self, index: usize) -> ShardSlot {
+    fn spawn_slot(&mut self, index: usize, machine: HealthMachine) -> ShardSlot {
         let mut router = Router::new(self.cfg.router.clone());
         router.loader = self.template.share_factories();
         let replay_errors = self.journal.replay(&mut router);
@@ -388,10 +384,8 @@ impl ParallelRouter {
             .name(format!("rp-shard-{index}"))
             .spawn(move || run_shard(ctx, rx, egress, scrap, worker_shared))
             .ok();
-        let policy = &self.cfg.router.fault_policy;
-        let spawn_failed = join.is_none();
         let mut last_fault = None;
-        if spawn_failed {
+        if join.is_none() {
             last_fault = Some("worker thread spawn failed".to_string());
         } else if replay_errors > 0 {
             // Expected to mirror the original per-shard outcomes (see
@@ -404,20 +398,17 @@ impl ParallelRouter {
             tx,
             join,
             shared,
-            health: if spawn_failed {
-                HealthState::Quarantined
-            } else {
-                HealthState::Healthy
-            },
-            restarts: 0,
-            next_backoff: initial_backoff(policy),
-            restart_at: None,
-            gave_up: spawn_failed,
+            machine,
             last_fault,
             sent: 0,
             shed_overload: 0,
             shed_down: 0,
         }
+    }
+
+    /// The shard tier's clock: ns since this router's epoch.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// Number of worker shards.
@@ -515,56 +506,59 @@ impl ParallelRouter {
     /// Collect final reports from abandoned incarnations whose threads
     /// have since exited (e.g. a wedge that released).
     fn harvest_zombies(&mut self) {
-        let mut i = 0;
-        while i < self.zombies.len() {
-            if self.zombies[i].join.is_finished() {
-                let z = self.zombies.swap_remove(i);
-                if let Ok(f) = z.join.join() {
-                    self.absorb_final(z.shard, z.sent, f);
-                }
-            } else {
-                i += 1;
-            }
+        while let Some(i) = self.zombies.iter().position(|z| z.join.is_finished()) {
+            let z = self.zombies.swap_remove(i);
+            self.reap(z.shard, z.sent, z.join);
         }
     }
 
-    /// Record a shard fault and schedule (or refuse) its restart per the
-    /// fault policy's capped exponential backoff.
-    fn note_fault(&mut self, shard: usize, why: String, now: Instant) {
-        let policy = self.cfg.router.fault_policy.clone();
+    /// Join an exited incarnation and absorb its final report; returns
+    /// why it died.
+    fn reap(&mut self, shard: usize, sent: u64, join: JoinHandle<ShardFinal>) -> String {
+        let Ok(f) = join.join() else {
+            return "worker thread aborted".to_string();
+        };
+        let why = match &f.panic {
+            Some(msg) => format!("worker panicked: {msg}"),
+            None => "worker exited unexpectedly".to_string(),
+        };
+        self.absorb_final(shard, sent, f);
+        why
+    }
+
+    /// Record a shard fault: the machine quarantines the shard and
+    /// schedules its restart while the budget lasts.
+    fn note_fault(&mut self, shard: usize, why: String) {
+        let now_ns = self.now_ns();
         let slot = &mut self.slots[shard];
-        slot.health = HealthState::Quarantined;
         slot.last_fault = Some(why);
-        if !policy.restart || slot.restarts >= policy.max_restarts {
-            slot.gave_up = true;
-            slot.restart_at = None;
-        } else {
-            slot.restart_at = Some(now + slot.next_backoff);
-            let cap = Duration::from_nanos(policy.restart_backoff_cap_ns.max(1));
-            slot.next_backoff = (slot.next_backoff * 2).min(cap);
-        }
+        slot.machine.fault(now_ns);
     }
 
     /// Give up on the current incarnation without waiting for its thread:
     /// flag it abandoned (so it exits at the next message boundary),
     /// disconnect its FIFO, and park the join handle for later harvest.
-    fn abandon(&mut self, shard: usize, why: String, now: Instant) {
-        self.slots[shard].shared.mark_abandoned();
+    fn abandon(&mut self, shard: usize, why: String) {
+        self.retire(shard);
         // Replacing (and dropping) our sender disconnects the worker's
         // recv — in ring mode the producer's drop also rings the doorbell
         // — so an *idle* abandoned worker exits immediately; a wedged
         // one exits when whatever wedged it returns.
         let dead_tx = ShardSender::dead(self.cfg.dispatch == DispatchMode::Ring);
         drop(std::mem::replace(&mut self.slots[shard].tx, dead_tx));
-        if let Some(join) = self.slots[shard].join.take() {
-            self.zombies.push(Zombie {
-                shard,
-                join,
-                sent: self.slots[shard].sent,
-            });
-        }
         self.slots[shard].sent = 0;
-        self.note_fault(shard, why, now);
+        self.note_fault(shard, why);
+    }
+
+    /// Flag the current incarnation abandoned and park its thread, if
+    /// any, for a later harvest of its final accounting.
+    fn retire(&mut self, shard: usize) {
+        let slot = &mut self.slots[shard];
+        slot.shared.mark_abandoned();
+        if let Some(join) = slot.join.take() {
+            let sent = slot.sent;
+            self.zombies.push(Zombie { shard, join, sent });
+        }
     }
 
     /// One watchdog pass over one shard: harvest it if dead, abandon it
@@ -579,23 +573,11 @@ impl ParallelRouter {
         {
             // The worker exited on its own: a panic escaped into the
             // shard loop (or the loop ended unexpectedly).
-            let sent = self.slots[shard].sent;
-            self.slots[shard].sent = 0;
-            let why = match self.slots[shard].join.take() {
-                Some(join) => match join.join() {
-                    Ok(f) => {
-                        let why = match &f.panic {
-                            Some(msg) => format!("worker panicked: {msg}"),
-                            None => "worker exited unexpectedly".to_string(),
-                        };
-                        self.absorb_final(shard, sent, f);
-                        why
-                    }
-                    Err(_) => "worker thread aborted".to_string(),
-                },
-                None => return,
-            };
-            self.note_fault(shard, why, now);
+            let sent = std::mem::take(&mut self.slots[shard].sent);
+            if let Some(join) = self.slots[shard].join.take() {
+                let why = self.reap(shard, sent, join);
+                self.note_fault(shard, why);
+            }
             return;
         }
         if self.slots[shard].serving() {
@@ -604,13 +586,12 @@ impl ParallelRouter {
                     self.abandon(
                         shard,
                         format!("stalled: busy {}ms inside one message", busy.as_millis()),
-                        now,
                     );
                     return;
                 }
             }
         }
-        if self.slots[shard].restart_at.is_some_and(|t| now >= t) {
+        if self.slots[shard].machine.recovery_due(self.now_ns()) {
             self.rebuild_shard(shard);
         }
     }
@@ -626,50 +607,21 @@ impl ParallelRouter {
     }
 
     /// Replace a quarantined shard with a fresh incarnation rebuilt from
-    /// the command journal.
+    /// the command journal, and report the attempt to its machine.
     fn rebuild_shard(&mut self, shard: usize) {
         // Make sure the previous incarnation can't race the replacement.
-        self.slots[shard].shared.mark_abandoned();
-        if let Some(join) = self.slots[shard].join.take() {
-            self.zombies.push(Zombie {
-                shard,
-                join,
-                sent: self.slots[shard].sent,
-            });
-        }
-        let prior = &self.slots[shard];
-        let (restarts, next_backoff, last_fault) =
-            (prior.restarts, prior.next_backoff, prior.last_fault.clone());
-        let mut fresh = self.spawn_slot(shard);
-        if fresh.gave_up {
-            // Spawn failure: keep the fault record, re-arm the backoff.
-            self.slots[shard] = fresh;
-            self.slots[shard].restarts = restarts;
-            self.note_fault(
-                shard,
-                "worker thread spawn failed".to_string(),
-                Instant::now(),
-            );
-            return;
-        }
-        fresh.health = HealthState::Degraded;
-        fresh.restarts = restarts + 1;
-        fresh.next_backoff = next_backoff;
+        self.retire(shard);
+        let mut fresh = self.spawn_slot(shard, self.slots[shard].machine.clone());
+        fresh.machine.recovered(fresh.join.is_some(), self.now_ns());
         if fresh.last_fault.is_none() {
-            fresh.last_fault = last_fault;
+            fresh.last_fault = self.slots[shard].last_fault.take();
         }
         self.slots[shard] = fresh;
     }
 
-    /// Count one shed packet at the dispatcher (the packet is dropped
-    /// here, so the dispatcher also counts it received — the merged
+    /// Count `n` shed packets at the dispatcher (they are dropped here,
+    /// so the dispatcher also counts them received — the merged
     /// `received == forwarded + dropped + in-flight` invariant holds).
-    fn shed(&mut self, shard: usize, reason: DropReason) {
-        self.shed_n(shard, reason, 1);
-    }
-
-    /// [`shed`](ParallelRouter::shed) for a whole failed batch: every
-    /// packet of the batch is counted, not just the carrier message.
     fn shed_n(&mut self, shard: usize, reason: DropReason, n: u64) {
         self.local_stats.received += n;
         match reason {
@@ -709,56 +661,8 @@ impl ParallelRouter {
             self.check_shard(t);
             self.sample_depths();
         }
-        if !self.slots[s].serving() {
-            // A due restart can bring it back right now.
-            self.check_shard(s);
-        }
-        if !self.slots[s].serving() {
-            self.pool.recycle(mbuf);
-            self.shed(s, DropReason::ShardDown);
-            return s;
-        }
-        let mut msg = ShardMsg::Packet(mbuf);
-        let mut deadline: Option<Instant> = None;
-        loop {
-            match self.slots[s].tx.try_send(msg) {
-                Ok(()) => {
-                    self.slots[s].sent += 1;
-                    return s;
-                }
-                Err(TrySendError::Full(m)) => {
-                    let now = Instant::now();
-                    let dl = *deadline.get_or_insert(now + self.cfg.overload_wait);
-                    // A persistently full FIFO may mean a wedged worker;
-                    // give the watchdog a look before deciding.
-                    self.check_shard(s);
-                    if !self.slots[s].serving() {
-                        if let ShardMsg::Packet(p) = m {
-                            self.pool.recycle(p);
-                        }
-                        self.shed(s, DropReason::ShardDown);
-                        return s;
-                    }
-                    if now >= dl {
-                        if let ShardMsg::Packet(p) = m {
-                            self.pool.recycle(p);
-                        }
-                        self.shed(s, DropReason::ShardOverload);
-                        return s;
-                    }
-                    msg = m;
-                    std::thread::yield_now();
-                }
-                Err(TrySendError::Disconnected(m)) => {
-                    self.check_shard(s);
-                    if let ShardMsg::Packet(p) = m {
-                        self.pool.recycle(p);
-                    }
-                    self.shed(s, DropReason::ShardDown);
-                    return s;
-                }
-            }
-        }
+        self.send_packets(s, ShardMsg::Packet(mbuf), 1);
+        s
     }
 
     /// Dispatch a whole batch of ingress packets, grouping them by their
@@ -820,53 +724,62 @@ impl ParallelRouter {
             self.spare_batches.push(batch);
             return 0;
         }
+        if self.send_packets(s, ShardMsg::Batch(batch), len as u64) {
+            len
+        } else {
+            0
+        }
+    }
+
+    /// Send a message carrying `n` packets to shard `s`. A full FIFO
+    /// back-pressures for at most [`ParallelRouterConfig::overload_wait`],
+    /// then the packets are shed as [`DropReason::ShardOverload`]; a dead,
+    /// stalled, or quarantined shard sheds them at once as
+    /// [`DropReason::ShardDown`]. Shed packets are recycled and counted.
+    /// Returns whether the shard accepted the packets.
+    fn send_packets(&mut self, s: usize, mut msg: ShardMsg, n: u64) -> bool {
         if !self.slots[s].serving() {
+            // A due restart can bring it back right now.
             self.check_shard(s);
         }
-        if !self.slots[s].serving() {
-            self.recycle_failed_batch(batch);
-            self.shed_n(s, DropReason::ShardDown, len as u64);
-            return 0;
-        }
-        let mut msg = ShardMsg::Batch(batch);
         let mut deadline: Option<Instant> = None;
-        loop {
+        let reason = loop {
+            if !self.slots[s].serving() {
+                break DropReason::ShardDown;
+            }
             match self.slots[s].tx.try_send(msg) {
                 Ok(()) => {
-                    self.slots[s].sent += len as u64;
-                    return len;
+                    self.slots[s].sent += n;
+                    return true;
                 }
                 Err(TrySendError::Full(m)) => {
+                    msg = m;
                     let now = Instant::now();
                     let dl = *deadline.get_or_insert(now + self.cfg.overload_wait);
+                    // A persistently full FIFO may mean a wedged worker;
+                    // give the watchdog a look before deciding.
                     self.check_shard(s);
-                    if !self.slots[s].serving() {
-                        if let ShardMsg::Batch(b) = m {
-                            self.recycle_failed_batch(b);
+                    if self.slots[s].serving() {
+                        if now >= dl {
+                            break DropReason::ShardOverload;
                         }
-                        self.shed_n(s, DropReason::ShardDown, len as u64);
-                        return 0;
+                        std::thread::yield_now();
                     }
-                    if now >= dl {
-                        if let ShardMsg::Batch(b) = m {
-                            self.recycle_failed_batch(b);
-                        }
-                        self.shed_n(s, DropReason::ShardOverload, len as u64);
-                        return 0;
-                    }
-                    msg = m;
-                    std::thread::yield_now();
                 }
                 Err(TrySendError::Disconnected(m)) => {
+                    msg = m;
                     self.check_shard(s);
-                    if let ShardMsg::Batch(b) = m {
-                        self.recycle_failed_batch(b);
-                    }
-                    self.shed_n(s, DropReason::ShardDown, len as u64);
-                    return 0;
+                    break DropReason::ShardDown;
                 }
             }
+        };
+        match msg {
+            ShardMsg::Packet(p) => self.pool.recycle(p),
+            ShardMsg::Batch(b) => self.recycle_failed_batch(b),
+            _ => {}
         }
+        self.shed_n(s, reason, n);
+        false
     }
 
     /// Pull emptied carriers the shards have returned into the spare
@@ -950,42 +863,14 @@ impl ParallelRouter {
     /// timeout — a thread still wedged inside a plugin cannot be joined,
     /// and its counters stay deferred until it finally exits.
     pub fn flush(&mut self) {
-        self.poll_shard_health();
-        let (tx, rx) = unbounded::<usize>();
-        let mut outstanding: Vec<usize> = Vec::new();
-        for s in 0..self.slots.len() {
-            if self.slots[s].serving() && self.send_control(s, ShardMsg::Barrier(tx.clone())) {
-                outstanding.push(s);
-            }
-        }
-        drop(tx);
-        while !outstanding.is_empty() {
-            match rx.recv_timeout(WAIT_SLICE) {
-                Ok(i) => outstanding.retain(|&x| x != i),
-                Err(RecvTimeoutError::Timeout) => {
-                    // Keep waiting for live shards (they may simply have
-                    // deep FIFOs); drop the ones the watchdog takes out.
-                    for s in outstanding.clone() {
-                        self.check_shard(s);
-                        if !self.slots[s].serving() {
-                            outstanding.retain(|&x| x != s);
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every pending barrier was dropped unrun.
-                    for s in outstanding.drain(..) {
-                        self.check_shard(s);
-                    }
-                }
-            }
-        }
+        self.broadcast(ShardMsg::Barrier, |_, _| {});
         let deadline = Instant::now() + self.cfg.stall_timeout + self.cfg.stall_timeout;
         loop {
             self.poll_shard_health();
             let unresolved = !self.zombies.is_empty()
                 || self.slots.iter().any(|s| {
-                    s.restart_at.is_some() || s.join.as_ref().is_some_and(|j| j.is_finished())
+                    s.machine.restart_at_ns().is_some()
+                        || s.join.as_ref().is_some_and(|j| j.is_finished())
                 });
             if !unresolved || Instant::now() >= deadline {
                 break;
@@ -1077,44 +962,56 @@ impl ParallelRouter {
         R: Send + 'static,
         F: Fn(&mut ShardCtx) -> R + Send + Sync + 'static,
     {
-        // Fire due restarts first so a rebuilt shard receives this
-        // command through the fan-out (it is not yet in the journal).
-        self.poll_shard_health();
         let f = Arc::new(f);
-        let (tx, rx) = unbounded::<(usize, R)>();
-        let n = self.slots.len();
-        let mut answers: Vec<Option<ShardAnswer<R>>> = (0..n).map(|_| None).collect();
-        let mut outstanding: Vec<usize> = Vec::new();
-        for (s, answer) in answers.iter_mut().enumerate() {
-            if !self.slots[s].serving() {
-                *answer = Some(ShardAnswer::Down);
-                continue;
-            }
+        let mut answers: Vec<_> = (0..self.slots.len())
+            .map(|s| (s, ShardAnswer::Down))
+            .collect();
+        let command = |tx: Sender<(usize, R)>| {
             let f = Arc::clone(&f);
-            let tx = tx.clone();
             let cmd: ControlFn = Box::new(move |ctx: &mut ShardCtx| {
-                let index = ctx.index;
                 let r = f(ctx);
-                let _ = tx.send((index, r));
+                let _ = tx.send((ctx.index, r));
             });
-            if self.send_control(s, ShardMsg::Control(cmd)) {
+            ShardMsg::Control(cmd)
+        };
+        self.broadcast(command, |s, a| answers[s].1 = a);
+        answers
+    }
+
+    /// Send `msg(reply)` to every serving shard, then wait under the
+    /// watchdog for each one's `(index, R)` reply; `answer` gets each
+    /// shard's reply, or why none came.
+    fn broadcast<R>(
+        &mut self,
+        msg: impl Fn(Sender<(usize, R)>) -> ShardMsg,
+        mut answer: impl FnMut(usize, ShardAnswer<R>),
+    ) {
+        // Fire due restarts first so a rebuilt shard receives this
+        // message (a command is not yet in the journal).
+        self.poll_shard_health();
+        let (tx, rx) = unbounded();
+        let mut outstanding = Vec::new();
+        for s in 0..self.slots.len() {
+            if self.slots[s].serving() && self.send_control(s, msg(tx.clone())) {
                 outstanding.push(s);
             } else {
-                *answer = Some(ShardAnswer::Down);
+                answer(s, ShardAnswer::Down);
             }
         }
         drop(tx);
         while !outstanding.is_empty() {
             match rx.recv_timeout(WAIT_SLICE) {
                 Ok((i, r)) => {
-                    answers[i] = Some(ShardAnswer::Ok(r));
+                    answer(i, ShardAnswer::Ok(r));
                     outstanding.retain(|&x| x != i);
                 }
                 Err(RecvTimeoutError::Timeout) => {
+                    // Keep waiting for live shards (they may simply have
+                    // deep FIFOs); drop the ones the watchdog takes out.
                     for s in outstanding.clone() {
                         self.check_shard(s);
                         if !self.slots[s].serving() {
-                            answers[s] = Some(ShardAnswer::Unresponsive);
+                            answer(s, ShardAnswer::Unresponsive);
                             outstanding.retain(|&x| x != s);
                         }
                     }
@@ -1122,16 +1019,11 @@ impl ParallelRouter {
                 Err(RecvTimeoutError::Disconnected) => {
                     for s in outstanding.drain(..) {
                         self.check_shard(s);
-                        answers[s] = Some(ShardAnswer::Down);
+                        answer(s, ShardAnswer::Down);
                     }
                 }
             }
         }
-        answers
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (i, a.unwrap_or(ShardAnswer::Down)))
-            .collect()
     }
 
     /// Run `f` on every serving shard and collect the successful results
@@ -1359,15 +1251,13 @@ impl ControlPlane for ParallelRouter {
         self.read_first(|ctx| ctx.router.describe_instances())
             .unwrap_or_default()
     }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
+    fn cp_health_reports(&self) -> Vec<HealthReport> {
         let mut out = Vec::new();
         for (shard, reports) in self.read_all(|ctx| ctx.router.health_reports()) {
-            for report in reports {
-                out.push(ShardHealthReport {
-                    shard: Some(shard),
-                    report,
-                });
-            }
+            out.extend(reports.into_iter().map(|r| HealthReport {
+                shard: Some(shard),
+                ..r
+            }));
         }
         out
     }
@@ -1445,13 +1335,13 @@ impl ControlPlane for ParallelRouter {
             .enumerate()
             .map(|(i, slot)| ShardStatus {
                 shard: i,
-                health: slot.health,
-                restarts: slot.restarts,
+                health: slot.machine.state(),
+                restarts: slot.machine.restarts(),
                 sent: slot.sent,
                 processed: slot.shared.processed(),
                 shed_overload: slot.shed_overload,
                 shed_down: slot.shed_down,
-                restart_pending: slot.restart_at.is_some(),
+                restart_pending: slot.machine.restart_at_ns().is_some(),
                 last_fault: slot.last_fault.clone(),
             })
             .collect()
@@ -1462,12 +1352,10 @@ impl ControlPlane for ParallelRouter {
         }
         self.check_shard(shard);
         if self.slots[shard].join.is_some() {
-            self.abandon(shard, "operator restart".to_string(), Instant::now());
+            self.abandon(shard, "operator restart".to_string());
         }
         // Operator intervention overrides an exhausted restart budget and
         // skips the backoff wait.
-        self.slots[shard].gave_up = false;
-        self.slots[shard].next_backoff = initial_backoff(&self.cfg.router.fault_policy);
         self.rebuild_shard(shard);
         if self.slots[shard].serving() {
             Ok(format!(

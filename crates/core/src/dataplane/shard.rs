@@ -65,10 +65,10 @@ pub enum ShardMsg {
     Batch(Vec<Mbuf>),
     /// A control command (fan-out from the single control plane).
     Control(ControlFn),
-    /// Reply with the shard index on the enclosed channel once every
+    /// Reply `(shard index, ())` on the enclosed channel once every
     /// earlier message has been fully processed (the dispatcher's
     /// flush/quiesce point).
-    Barrier(Sender<usize>),
+    Barrier(Sender<(usize, ())>),
     /// Drain and exit.
     Shutdown,
 }
@@ -481,7 +481,7 @@ fn shard_loop(
                 egress.drain(&mut ctx.router);
             }
             ShardMsg::Barrier(done) => {
-                let _ = done.send(ctx.index);
+                let _ = done.send((ctx.index, ()));
             }
             ShardMsg::Shutdown => {
                 shared.beat(false);

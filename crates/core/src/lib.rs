@@ -23,9 +23,11 @@
 //!   H-FSC, FIFO, RED, BMP classifiers, statistics, firewall.
 //! * [`monolithic`] — the Table 3 baselines: an unmodified best-effort
 //!   fast path and an ALTQ-style hardwired DRR kernel.
-//! * [`supervisor`] — plugin fault isolation: panic containment, health
-//!   tracking (Healthy → Degraded → Quarantined), and restart with
-//!   capped exponential backoff in simulated time.
+//! * [`health`] — the one Healthy → Degraded → Quarantined machine, with
+//!   capped exponential restart backoff, that supervises plugin
+//!   instances, shard workers and network devices alike.
+//! * [`supervisor`] — plugin fault isolation: panic containment and
+//!   factory restart of faulty instances in simulated time.
 //! * [`dataplane`] — the sharded parallel data plane: N flow-affine
 //!   worker shards (each a complete single-threaded router) behind the
 //!   single control plane.
@@ -41,6 +43,7 @@
 
 pub mod dataplane;
 pub mod gate;
+pub mod health;
 pub mod ip_core;
 pub mod loader;
 pub mod message;

@@ -11,7 +11,7 @@ use crate::message::{PluginMsg, PluginReply};
 use crate::obs::{self, MetricsRegistry, MetricsSnapshot, TraceCategory, Tracer};
 use crate::pcu::Pcu;
 use crate::plugin::{InstanceId, InstanceRef, PacketCtx, PluginAction, PluginError};
-use crate::supervisor::{self, FaultKind, FaultPolicy, HealthReport, Supervisor};
+use crate::supervisor::{self, FaultPolicy, HealthReport, Supervisor};
 use rp_classifier::aiu::ClassifyOutcome;
 use rp_classifier::flow_table::EvictedFlow;
 use rp_classifier::{Aiu, AiuConfig, BmpKind, FilterId, FlowTableConfig};
@@ -528,18 +528,15 @@ impl Router {
                 if budget > 0 && cost_ns > budget {
                     // A modelled stall: the call "completed" but charged
                     // more processing time than the policy tolerates.
-                    let kind = FaultKind::BudgetExceeded {
-                        cost_ns,
-                        budget_ns: budget,
-                    };
-                    if self.note_fault(inst, &kind) {
+                    let why = format!("budget exceeded: cost {cost_ns}ns > budget {budget}ns");
+                    if self.note_fault(inst, why) {
                         mbuf.fix = None; // quarantined: reclassify downstream
                     }
                 }
                 GateOutcome::Action(action)
             }
             Err(msg) => {
-                if self.note_fault(inst, &FaultKind::Panic(msg)) {
+                if self.note_fault(inst, format!("panic: {msg}")) {
                     mbuf.fix = None;
                 }
                 GateOutcome::Fault
@@ -547,17 +544,17 @@ impl Router {
         }
     }
 
-    /// Count one fault; on the quarantine edge, pull the instance off the
-    /// data path. Returns true when the instance was just quarantined.
-    fn note_fault(&mut self, inst: &InstanceRef, kind: &FaultKind) -> bool {
+    /// Count one fault (`why` describes it); on the quarantine edge, pull
+    /// the instance off the data path. Returns true when the instance was
+    /// just quarantined.
+    fn note_fault(&mut self, inst: &InstanceRef, why: String) -> bool {
         self.stats.plugin_faults += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
             let now = self.now_ns;
-            let detail = format!("fault in {}: {kind}", inst.describe());
+            let detail = format!("fault in {}: {why}", inst.describe());
             self.tracer.record(now, TraceCategory::Plugin, detail);
         }
-        let verdict = self.supervisor.record_fault(inst, kind);
-        if verdict.newly_quarantined {
+        if self.supervisor.record_fault(inst, why, self.now_ns) {
             self.quarantine(inst);
             true
         } else {
@@ -568,7 +565,7 @@ impl Router {
     /// Remove a quarantined instance from the data path: its filters go,
     /// its cached flows are invalidated (falling back to each gate's
     /// default path on their next packet), its egress queues drain to the
-    /// wire, and a restart is scheduled per policy.
+    /// wire. (The health machine already scheduled its restart.)
     fn quarantine(&mut self, inst: &InstanceRef) {
         self.stats.plugin_quarantines += 1;
         if self.tracer.wants(TraceCategory::Plugin) {
@@ -612,7 +609,6 @@ impl Router {
             self.run_eviction_callbacks_skipping(ev, Some(inst));
         }
         self.detach_sched_everywhere(inst);
-        let _ = self.supervisor.schedule_restart(inst, self.now_ns);
     }
 
     /// Detach an instance from every interface's scheduler list, draining
@@ -644,7 +640,7 @@ impl Router {
         }
         for t in self.supervisor.take_due(self.now_ns) {
             let _ = self.pcu.free_instance(&t.plugin, t.id);
-            match self.pcu.create_instance(&t.plugin, &t.config) {
+            let fresh = match self.pcu.create_instance(&t.plugin, &t.config) {
                 Ok((new_id, new_inst)) => {
                     let mut new_bindings = Vec::new();
                     for (gate, spec) in &t.bindings {
@@ -664,21 +660,14 @@ impl Router {
                         let detail = format!("restarted {} {} → {}", t.plugin, t.id.0, new_id.0);
                         self.tracer.record(now, TraceCategory::Plugin, detail);
                     }
-                    self.supervisor.complete_restart(
-                        &t.plugin,
-                        t.id,
-                        new_id,
-                        &new_inst,
-                        new_bindings,
-                    );
+                    Some((new_id, new_inst, new_bindings))
                 }
-                Err(_) => {
-                    // Factory refused (or the plugin was unloaded while
-                    // the instance sat in quarantine): re-arm the backoff
-                    // or give up, per policy.
-                    self.supervisor.fail_restart(&t.plugin, t.id, self.now_ns);
-                }
-            }
+                // Factory refused (or the plugin was unloaded while the
+                // instance sat in quarantine).
+                Err(_) => None,
+            };
+            self.supervisor
+                .restarted(&t.plugin, t.id, fresh, self.now_ns);
         }
     }
 
@@ -968,7 +957,7 @@ impl Router {
             }
         }
         for (inst, msg) in faulted {
-            self.note_fault(&inst, &FaultKind::Panic(msg));
+            self.note_fault(&inst, format!("panic: {msg}"));
         }
         sent
     }
@@ -1114,11 +1103,6 @@ impl Router {
     /// Supervision snapshot of every tracked instance (pmgr `health`).
     pub fn health_reports(&self) -> Vec<HealthReport> {
         self.supervisor.reports()
-    }
-
-    /// The supervisor (policy and health inspection).
-    pub fn supervisor(&self) -> &Supervisor {
-        &self.supervisor
     }
 
     /// Human-readable dump of a gate's installed filters (pmgr `show`).

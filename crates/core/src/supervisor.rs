@@ -1,119 +1,67 @@
-//! Plugin supervision: fault isolation, health tracking, and restart.
+//! Plugin supervision: the plugin-instance tier of the shared
+//! [`crate::health`] machine.
 //!
 //! The paper's architecture runs plugins *inside* the kernel: "plugins are
 //! code modules that run in the kernel" (§1), so a misbehaving plugin can
 //! take the whole router down. This module adds the containment layer a
 //! production deployment of that architecture needs — without changing the
-//! plugin programming model:
+//! plugin programming model. Each instance gets one
+//! [`HealthMachine`]; this tier supplies only its symptoms and its
+//! recovery action:
 //!
-//! * Every gate-side plugin invocation is wrapped in
-//!   [`std::panic::catch_unwind`] (see [`run_isolated`]); a panicking
-//!   instance loses the packet it was processing but never the router.
-//! * Each instance carries a health state machine
-//!   ([`HealthState`]: `Healthy → Degraded → Quarantined`) driven by a
-//!   configurable [`FaultPolicy`]: panics and per-call packet-budget
-//!   overruns (in netsim clock units) count as faults.
-//! * On quarantine, the router removes the instance's filter bindings and
-//!   invalidates its cached flows, so affected flows fall back to the
+//! * **Symptoms → faults.** Every gate-side plugin invocation is wrapped
+//!   in [`std::panic::catch_unwind`] (see [`run_isolated`]); a panic, or
+//!   a call charging more than [`FaultPolicy::packet_budget_ns`] of
+//!   simulated time, is one fault. Nothing reports clean calls, so a
+//!   degraded instance stays degraded until it is restarted.
+//! * **Quarantine.** The router removes the instance's filter bindings
+//!   and invalidates its cached flows, so affected flows fall back to the
 //!   gate's default path — dropped packets are *counted*, never silently
 //!   blackholed.
-//! * Quarantined instances are restarted from their plugin's factory with
-//!   capped exponential backoff in simulated time, and their filter
-//!   bindings are re-installed for the fresh instance.
+//! * **Recovery.** A due restart rebuilds the instance from its plugin's
+//!   factory with the create-time config, on the simulated clock, and
+//!   re-installs its filter bindings for the fresh instance, which starts
+//!   Healthy.
 //!
 //! The supervisor itself is pure bookkeeping; [`crate::router::Router`]
 //! orchestrates the AIU/PCU side effects (filter removal, flow
 //! invalidation, restart) because only it holds those components.
 
 use crate::gate::Gate;
+pub use crate::health::HealthState;
+use crate::health::{HealthConfig, HealthMachine};
 use crate::plugin::{InstanceId, InstanceRef};
 use rp_classifier::FilterSpec;
 use std::cell::Cell;
-use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::sync::Once;
 
-/// Health of a supervised plugin instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthState {
-    /// No recent faults; on the data path.
-    Healthy,
-    /// Faulted at least [`FaultPolicy::degrade_after`] times since the
-    /// last (re)start; still on the data path, flagged for operators.
-    Degraded,
-    /// Faulted [`FaultPolicy::quarantine_after`] times: removed from the
-    /// data path (bindings invalidated), awaiting restart or operator
-    /// action.
-    Quarantined,
-}
-
-impl fmt::Display for HealthState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            HealthState::Healthy => write!(f, "healthy"),
-            HealthState::Degraded => write!(f, "degraded"),
-            HealthState::Quarantined => write!(f, "quarantined"),
-        }
-    }
-}
-
-/// What went wrong in one plugin invocation.
-#[derive(Debug, Clone)]
-pub enum FaultKind {
-    /// The instance panicked; payload message attached.
-    Panic(String),
-    /// The instance reported more processing cost than the policy's
-    /// per-call packet budget allows (a modelled stall).
-    BudgetExceeded {
-        /// Cost the instance charged for the call (ns, netsim clock).
-        cost_ns: u64,
-        /// The policy's budget it exceeded.
-        budget_ns: u64,
-    },
-}
-
-impl fmt::Display for FaultKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultKind::Panic(msg) => write!(f, "panic: {msg}"),
-            FaultKind::BudgetExceeded { cost_ns, budget_ns } => {
-                write!(
-                    f,
-                    "budget exceeded: cost {cost_ns}ns > budget {budget_ns}ns"
-                )
-            }
-        }
-    }
-}
-
-/// Fault-handling policy for supervised instances.
+/// Fault-handling policy for supervised instances (and, through
+/// [`crate::dataplane::ParallelRouterConfig::router`], for shard
+/// workers).
 #[derive(Debug, Clone)]
 pub struct FaultPolicy {
-    /// Faults (since last restart) after which an instance is Degraded.
-    pub degrade_after: u32,
-    /// Faults after which an instance is Quarantined.
+    /// Consecutive faults after which an instance is Quarantined (the
+    /// first fault makes it Degraded).
     pub quarantine_after: u32,
     /// Per-call packet budget in netsim clock units (ns); a call charging
     /// more cost than this counts as a fault. `0` disables the budget.
     pub packet_budget_ns: u64,
-    /// Restart quarantined instances automatically.
-    pub restart: bool,
     /// Initial restart backoff (simulated ns).
     pub restart_backoff_ns: u64,
     /// Backoff cap: doubling stops here.
     pub restart_backoff_cap_ns: u64,
-    /// Give up after this many restarts of one instance.
+    /// Restart attempts (ok or failed) allowed per instance; `0`
+    /// disables automatic restarts.
     pub max_restarts: u32,
 }
 
 impl Default for FaultPolicy {
     fn default() -> Self {
         FaultPolicy {
-            degrade_after: 1,
             quarantine_after: 3,
             packet_budget_ns: 0,
-            restart: true,
             restart_backoff_ns: 1_000_000,      // 1 ms simulated
             restart_backoff_cap_ns: 64_000_000, // 64 ms simulated
             max_restarts: 4,
@@ -121,19 +69,25 @@ impl Default for FaultPolicy {
     }
 }
 
-/// Verdict of recording one fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultVerdict {
-    /// Health after the fault was counted.
-    pub health: HealthState,
-    /// This fault crossed the quarantine threshold — the caller must pull
-    /// the instance off the data path.
-    pub newly_quarantined: bool,
+impl FaultPolicy {
+    /// The health machine of one plugin instance: a restarted instance
+    /// is Healthy at once (no probation).
+    pub fn health(&self) -> HealthConfig {
+        HealthConfig {
+            quarantine_after: self.quarantine_after,
+            recover_after: 0,
+            backoff_ns: self.restart_backoff_ns,
+            backoff_cap_ns: self.restart_backoff_cap_ns,
+            max_restarts: self.max_restarts,
+        }
+    }
 }
 
 /// Snapshot of one supervised instance (pmgr `health`).
 #[derive(Debug, Clone)]
 pub struct HealthReport {
+    /// Which shard the report came from (`None` on an unsharded router).
+    pub shard: Option<usize>,
     /// Owning plugin name.
     pub plugin: String,
     /// Current instance id (changes across restarts).
@@ -144,7 +98,7 @@ pub struct HealthReport {
     pub faults: u32,
     /// Faults across the instance's whole supervised life.
     pub total_faults: u64,
-    /// Completed restarts.
+    /// Restart attempts, ok or failed.
     pub restarts: u32,
     /// Simulated time of the next restart attempt, if one is scheduled.
     pub restart_at_ns: Option<u64>,
@@ -168,15 +122,13 @@ struct Record {
     /// (directly on the PCU) are supervised but not restartable.
     origin: Option<(String, InstanceId, String)>,
     inst: InstanceRef,
-    health: HealthState,
-    faults: u32,
-    total_faults: u64,
-    restarts: u32,
-    restart_at_ns: Option<u64>,
-    next_backoff_ns: u64,
-    bindings: Vec<(Gate, FilterSpec, rp_classifier::FilterId)>,
+    health: HealthMachine,
+    bindings: Vec<Binding>,
     last_fault: Option<String>,
 }
+
+/// A filter binding of a supervised instance, re-installed on restart.
+pub(crate) type Binding = (Gate, FilterSpec, rp_classifier::FilterId);
 
 /// The supervisor: per-instance health records plus the restart queue.
 pub struct Supervisor {
@@ -184,6 +136,9 @@ pub struct Supervisor {
     records: Vec<Record>,
     /// Earliest scheduled restart (cheap due-check on the hot path).
     next_due_ns: Option<u64>,
+    /// Some record is quarantined: lets the per-gate check skip the scan
+    /// while every instance is in service.
+    any_quarantined: bool,
 }
 
 impl Supervisor {
@@ -193,6 +148,7 @@ impl Supervisor {
             policy,
             records: Vec::new(),
             next_due_ns: None,
+            any_quarantined: false,
         }
     }
 
@@ -212,28 +168,39 @@ impl Supervisor {
         self.records.push(Record {
             origin: None,
             inst: inst.clone(),
-            health: HealthState::Healthy,
-            faults: 0,
-            total_faults: 0,
-            restarts: 0,
-            restart_at_ns: None,
-            next_backoff_ns: self.policy.restart_backoff_ns,
+            health: HealthMachine::new(HealthConfig {
+                max_restarts: 0,
+                ..self.policy.health()
+            }),
             bindings: Vec::new(),
             last_fault: None,
         });
         self.records.len() - 1
     }
 
+    /// Recompute the cached due time and quarantine flag after a health
+    /// transition.
+    fn refresh(&mut self) {
+        self.next_due_ns = self
+            .records
+            .iter()
+            .filter_map(|r| r.health.restart_at_ns())
+            .min();
+        self.any_quarantined = self.records.iter().any(|r| r.health.quarantined());
+    }
+
     /// Register a router-created instance (restartable).
     pub fn track(&mut self, plugin: &str, id: InstanceId, config: &str, inst: &InstanceRef) {
         let i = self.ensure_record(inst);
-        self.records[i].origin = Some((plugin.to_string(), id, config.to_string()));
+        let r = &mut self.records[i];
+        r.origin = Some((plugin.to_string(), id, config.to_string()));
+        r.health = HealthMachine::new(self.policy.health());
     }
 
     /// Drop an instance's record (freed through the control path).
     pub fn untrack(&mut self, inst: &InstanceRef) {
         self.records.retain(|r| !Arc::ptr_eq(&r.inst, inst));
-        self.recompute_due();
+        self.refresh();
     }
 
     /// Note a filter binding installed for `inst` (kept for re-install on
@@ -259,60 +226,30 @@ impl Supervisor {
         }
     }
 
-    /// Count one fault against an instance, advancing its health machine.
-    pub fn record_fault(&mut self, inst: &InstanceRef, kind: &FaultKind) -> FaultVerdict {
+    /// Count one fault (`why` describes it: a panic or a budget overrun)
+    /// against an instance at simulated time `now_ns`. Returns `true` on
+    /// the quarantine edge — the caller must pull the instance off the
+    /// data path; its restart is already scheduled when policy and origin
+    /// allow one.
+    pub fn record_fault(&mut self, inst: &InstanceRef, why: String, now_ns: u64) -> bool {
         let i = self.ensure_record(inst);
         let r = &mut self.records[i];
-        r.faults += 1;
-        r.total_faults += 1;
-        r.last_fault = Some(kind.to_string());
-        let before = r.health;
-        if r.faults >= self.policy.quarantine_after {
-            r.health = HealthState::Quarantined;
-        } else if r.faults >= self.policy.degrade_after {
-            r.health = HealthState::Degraded;
+        r.last_fault = Some(why);
+        let quarantined = r.health.fault(now_ns);
+        if quarantined {
+            self.refresh();
         }
-        FaultVerdict {
-            health: r.health,
-            newly_quarantined: r.health == HealthState::Quarantined
-                && before != HealthState::Quarantined,
-        }
-    }
-
-    /// Health of an instance, if supervised.
-    pub fn health_of(&self, inst: &InstanceRef) -> Option<HealthState> {
-        self.index_of(inst).map(|i| self.records[i].health)
+        quarantined
     }
 
     /// Is this instance currently quarantined? (The data path checks this
     /// to keep a quarantined instance off the packet flow even if a stale
     /// binding survives somewhere.)
     pub fn is_quarantined(&self, inst: &InstanceRef) -> bool {
-        self.health_of(inst) == Some(HealthState::Quarantined)
-    }
-
-    /// Schedule a restart for a quarantined instance. Returns the
-    /// simulated deadline, or `None` when policy or origin forbid it.
-    pub fn schedule_restart(&mut self, inst: &InstanceRef, now_ns: u64) -> Option<u64> {
-        if !self.policy.restart {
-            return None;
-        }
-        let cap = self.policy.restart_backoff_cap_ns;
-        let max_restarts = self.policy.max_restarts;
-        let i = self.index_of(inst)?;
-        let r = &mut self.records[i];
-        if r.origin.is_none() || r.restarts >= max_restarts {
-            return None;
-        }
-        let due = now_ns.saturating_add(r.next_backoff_ns);
-        r.restart_at_ns = Some(due);
-        r.next_backoff_ns = r.next_backoff_ns.saturating_mul(2).min(cap.max(1));
-        self.recompute_due();
-        Some(due)
-    }
-
-    fn recompute_due(&mut self) {
-        self.next_due_ns = self.records.iter().filter_map(|r| r.restart_at_ns).min();
+        self.any_quarantined
+            && self
+                .index_of(inst)
+                .is_some_and(|i| self.records[i].health.quarantined())
     }
 
     /// Cheap hot-path check: any restart due at `now_ns`?
@@ -320,69 +257,49 @@ impl Supervisor {
         self.next_due_ns.is_some_and(|t| t <= now_ns)
     }
 
-    /// Pop every due restart as a ticket (the router attempts them).
-    pub(crate) fn take_due(&mut self, now_ns: u64) -> Vec<RestartTicket> {
-        let mut out = Vec::new();
-        for r in &mut self.records {
-            if r.restart_at_ns.is_some_and(|t| t <= now_ns) {
-                r.restart_at_ns = None;
-                if let Some((plugin, id, config)) = r.origin.clone() {
-                    out.push(RestartTicket {
-                        plugin,
-                        id,
-                        config,
-                        bindings: r.bindings.iter().map(|(g, s, _)| (*g, s.clone())).collect(),
-                    });
-                }
-            }
-        }
-        self.recompute_due();
-        out
+    /// Every due restart as a ticket; the router attempts each and
+    /// reports back through [`restarted`](Self::restarted).
+    pub(crate) fn take_due(&self, now_ns: u64) -> Vec<RestartTicket> {
+        self.records
+            .iter()
+            .filter(|r| r.health.recovery_due(now_ns))
+            .filter_map(|r| {
+                let (plugin, id, config) = r.origin.clone()?;
+                Some(RestartTicket {
+                    plugin,
+                    id,
+                    config,
+                    bindings: r.bindings.iter().map(|(g, s, _)| (*g, s.clone())).collect(),
+                })
+            })
+            .collect()
     }
 
-    /// Complete a successful restart: swap in the fresh instance (new id,
-    /// new filter ids), reset the fault window, keep the backoff ramp.
-    pub(crate) fn complete_restart(
+    /// Record a restart attempt's outcome: `Some` swaps in the fresh
+    /// instance (new id, new filter ids); `None` means it failed (factory
+    /// refused, plugin gone) and the machine re-arms or gives up.
+    pub(crate) fn restarted(
         &mut self,
-        old_plugin: &str,
-        old_id: InstanceId,
-        new_id: InstanceId,
-        new_inst: &InstanceRef,
-        new_bindings: Vec<(Gate, FilterSpec, rp_classifier::FilterId)>,
+        plugin: &str,
+        id: InstanceId,
+        fresh: Option<(InstanceId, InstanceRef, Vec<Binding>)>,
+        now_ns: u64,
     ) {
-        if let Some(r) = self.records.iter_mut().find(|r| {
+        let ticketed = |r: &&mut Record| {
             r.origin
                 .as_ref()
-                .is_some_and(|(p, i, _)| p == old_plugin && *i == old_id)
-        }) {
-            if let Some(origin) = r.origin.as_mut() {
-                origin.1 = new_id;
-            }
-            r.inst = new_inst.clone();
-            r.health = HealthState::Healthy;
-            r.faults = 0;
-            r.restarts += 1;
-            r.bindings = new_bindings;
-        }
-    }
-
-    /// A restart attempt failed (factory refused, plugin gone): either
-    /// re-arm the backoff timer or give up, per policy.
-    pub(crate) fn fail_restart(&mut self, plugin: &str, id: InstanceId, now_ns: u64) {
-        let cap = self.policy.restart_backoff_cap_ns;
-        let max_restarts = self.policy.max_restarts;
-        if let Some(r) = self.records.iter_mut().find(|r| {
-            r.origin
-                .as_ref()
-                .is_some_and(|(p, i, _)| p == plugin && *i == id)
-        }) {
-            r.restarts += 1;
-            if r.restarts < max_restarts {
-                r.restart_at_ns = Some(now_ns.saturating_add(r.next_backoff_ns));
-                r.next_backoff_ns = r.next_backoff_ns.saturating_mul(2).min(cap.max(1));
+                .is_some_and(|o| o.0 == plugin && o.1 == id)
+        };
+        if let Some(r) = self.records.iter_mut().find(ticketed) {
+            r.health.recovered(fresh.is_some(), now_ns);
+            if let Some((new_id, inst, bindings)) = fresh {
+                if let Some(origin) = r.origin.as_mut() {
+                    origin.1 = new_id;
+                }
+                (r.inst, r.bindings) = (inst, bindings);
             }
         }
-        self.recompute_due();
+        self.refresh();
     }
 
     /// Snapshot every supervised instance (pmgr `health`).
@@ -390,23 +307,22 @@ impl Supervisor {
         let mut out: Vec<HealthReport> = self
             .records
             .iter()
-            .map(|r| HealthReport {
-                plugin: r
-                    .origin
-                    .as_ref()
-                    .map(|(p, _, _)| p.clone())
-                    .unwrap_or_else(|| "(untracked)".to_string()),
-                id: r
-                    .origin
-                    .as_ref()
-                    .map(|(_, i, _)| *i)
-                    .unwrap_or(InstanceId(u32::MAX)),
-                health: r.health,
-                faults: r.faults,
-                total_faults: r.total_faults,
-                restarts: r.restarts,
-                restart_at_ns: r.restart_at_ns,
-                last_fault: r.last_fault.clone(),
+            .map(|r| {
+                let (plugin, id) = match &r.origin {
+                    Some((p, i, _)) => (p.clone(), *i),
+                    None => ("(untracked)".to_string(), InstanceId(u32::MAX)),
+                };
+                HealthReport {
+                    shard: None,
+                    plugin,
+                    id,
+                    health: r.health.state(),
+                    faults: r.health.faults(),
+                    total_faults: r.health.total_faults(),
+                    restarts: r.health.restarts(),
+                    restart_at_ns: r.health.restart_at_ns(),
+                    last_fault: r.last_fault.clone(),
+                }
             })
             .collect();
         out.sort_by(|a, b| (&a.plugin, a.id).cmp(&(&b.plugin, b.id)));
@@ -482,13 +398,19 @@ mod tests {
 
     fn policy() -> FaultPolicy {
         FaultPolicy {
-            degrade_after: 1,
             quarantine_after: 3,
             restart_backoff_ns: 1000,
             restart_backoff_cap_ns: 4000,
             max_restarts: 2,
             ..FaultPolicy::default()
         }
+    }
+
+    fn quarantine(sup: &mut Supervisor, i: &InstanceRef, now_ns: u64) {
+        for _ in 0..3 {
+            sup.record_fault(i, "panic: x".to_string(), now_ns);
+        }
+        assert!(sup.is_quarantined(i));
     }
 
     #[test]
@@ -501,44 +423,11 @@ mod tests {
     }
 
     #[test]
-    fn health_machine_degrade_then_quarantine() {
-        let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "", &i);
-        let k = FaultKind::Panic("x".into());
-        let v1 = sup.record_fault(&i, &k);
-        assert_eq!(v1.health, HealthState::Degraded);
-        assert!(!v1.newly_quarantined);
-        let v2 = sup.record_fault(&i, &k);
-        assert_eq!(v2.health, HealthState::Degraded);
-        let v3 = sup.record_fault(&i, &k);
-        assert_eq!(v3.health, HealthState::Quarantined);
-        assert!(v3.newly_quarantined);
-        // Further faults do not re-trigger the quarantine edge.
-        let v4 = sup.record_fault(&i, &k);
-        assert!(!v4.newly_quarantined);
-        assert!(sup.is_quarantined(&i));
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps() {
-        let mut sup = Supervisor::new(policy());
-        let i = inst();
-        sup.track("p", InstanceId(0), "cfg", &i);
-        assert_eq!(sup.schedule_restart(&i, 0), Some(1000));
-        // Doubled to 2000, then capped at 4000.
-        assert_eq!(sup.schedule_restart(&i, 0), Some(2000));
-        assert_eq!(sup.schedule_restart(&i, 0), Some(4000));
-        assert_eq!(sup.schedule_restart(&i, 0), Some(4000));
-        assert!(sup.restart_due(4000));
-    }
-
-    #[test]
     fn untracked_instances_not_restartable() {
         let mut sup = Supervisor::new(policy());
         let i = inst();
-        sup.record_fault(&i, &FaultKind::Panic("x".into()));
-        assert_eq!(sup.schedule_restart(&i, 0), None);
+        quarantine(&mut sup, &i, 0);
+        assert!(!sup.restart_due(u64::MAX));
         let reports = sup.reports();
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].plugin, "(untracked)");
@@ -549,36 +438,22 @@ mod tests {
         let mut sup = Supervisor::new(policy());
         let i = inst();
         sup.track("p", InstanceId(0), "k=v", &i);
-        for _ in 0..3 {
-            sup.record_fault(&i, &FaultKind::Panic("x".into()));
-        }
-        sup.schedule_restart(&i, 100).unwrap();
+        quarantine(&mut sup, &i, 100);
         assert!(!sup.restart_due(500));
         assert!(sup.restart_due(1100));
         let due = sup.take_due(1100);
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].plugin, "p");
         assert_eq!(due[0].config, "k=v");
-        let fresh = inst();
-        sup.complete_restart("p", InstanceId(0), InstanceId(1), &fresh, Vec::new());
-        assert_eq!(sup.health_of(&fresh), Some(HealthState::Healthy));
+        let fresh = (InstanceId(1), inst(), Vec::new());
+        sup.restarted("p", InstanceId(0), Some(fresh), 1100);
+        assert!(!sup.restart_due(u64::MAX));
         let r = &sup.reports()[0];
+        assert_eq!(r.health, HealthState::Healthy);
+        assert_eq!(r.id, InstanceId(1));
         assert_eq!(r.restarts, 1);
         assert_eq!(r.faults, 0);
         assert_eq!(r.total_faults, 3);
-    }
-
-    #[test]
-    fn max_restarts_enforced() {
-        let mut sup = Supervisor::new(policy()); // max_restarts = 2
-        let i = inst();
-        sup.track("p", InstanceId(0), "", &i);
-        sup.fail_restart("p", InstanceId(0), 0);
-        assert!(sup.restart_due(u64::MAX), "first failure re-arms");
-        sup.take_due(u64::MAX);
-        sup.fail_restart("p", InstanceId(0), 0);
-        assert!(!sup.restart_due(u64::MAX), "second failure gives up");
-        assert_eq!(sup.schedule_restart(&i, 0), None);
     }
 
     #[test]
@@ -595,10 +470,7 @@ mod tests {
             rp_classifier::FilterId(10),
         );
         sup.note_unbinding(&i, Gate::Firewall, fid);
-        for _ in 0..3 {
-            sup.record_fault(&i, &FaultKind::Panic("x".into()));
-        }
-        sup.schedule_restart(&i, 0).unwrap();
+        quarantine(&mut sup, &i, 0);
         let due = sup.take_due(u64::MAX);
         assert_eq!(due[0].bindings.len(), 1);
         assert_eq!(due[0].bindings[0].0, Gate::Stats);

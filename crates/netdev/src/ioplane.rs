@@ -28,8 +28,7 @@
 use crate::supervisor::{DeviceMonitor, DeviceSupervisorConfig, PollSample};
 use crate::{NetDev, RxBatch};
 use router_core::dataplane::control::{
-    ControlPlane, DeviceHealth, DeviceRow, DeviceStats, MetricsRow, ShardHealthReport, ShardStatus,
-    ShardTraceEvent, StatsRow,
+    ControlPlane, DeviceRow, DeviceStats, MetricsRow, ShardStatus, ShardTraceEvent, StatsRow,
 };
 use router_core::dataplane::ParallelRouter;
 use router_core::gate::Gate;
@@ -37,11 +36,11 @@ use router_core::ip_core::{DataPathStats, Disposition};
 use router_core::message::{PluginMsg, PluginReply};
 use router_core::plugin::{InstanceId, PluginError};
 use router_core::router::Router;
+use router_core::supervisor::HealthReport;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::pool::MbufPool;
 use rp_packet::Mbuf;
 use std::net::IpAddr;
-use std::time::Instant;
 
 /// The data-plane surface the [`IoPlane`] needs, implemented by both
 /// [`Router`] (single-threaded) and [`ParallelRouter`] (sharded) so one
@@ -288,17 +287,16 @@ impl<P: IoRouter> IoPlane<P> {
     /// attempted first, and on success the device is polled again this
     /// same cycle (on degraded probation).
     pub fn poll_rx(&mut self) -> u64 {
-        let now = Instant::now();
         let wall = rp_packet::coarse_now_ns();
         let mut polled = 0;
         for bd in self.devices.iter_mut() {
             bd.rx_frames = 0;
             if let Some(mon) = bd.monitor.as_mut() {
-                if mon.reopen_due(now) {
+                if mon.machine().recovery_due(wall) {
                     let ok = bd.dev.reopen().is_ok();
-                    mon.note_reopen(ok, now);
+                    mon.note_reopen(ok, wall);
                 }
-                if mon.quarantined() {
+                if mon.machine().quarantined() {
                     continue;
                 }
             }
@@ -336,7 +334,11 @@ impl<P: IoRouter> IoPlane<P> {
             if bd.tx_scratch.is_empty() {
                 continue;
             }
-            if bd.monitor.as_ref().is_some_and(|m| m.quarantined()) {
+            if bd
+                .monitor
+                .as_ref()
+                .is_some_and(|m| m.machine().quarantined())
+            {
                 let n = bd.tx_scratch.len() as u64;
                 let pool = self.plane.io_pool();
                 for m in bd.tx_scratch.drain(..) {
@@ -365,7 +367,7 @@ impl<P: IoRouter> IoPlane<P> {
     /// last step, with the sum of the *other* devices' rx frames as the
     /// liveness witness for the stall check.
     fn supervise_step(&mut self) {
-        let now = Instant::now();
+        let now = rp_packet::coarse_now_ns();
         let total_rx: u64 = self.devices.iter().map(|bd| bd.rx_frames).sum();
         for bd in self.devices.iter_mut() {
             let Some(mon) = bd.monitor.as_mut() else {
@@ -414,11 +416,8 @@ impl<P: IoRouter> IoPlane<P> {
                 name: bd.dev.name().to_string(),
                 iface: bd.iface,
                 stats: bd.dev.stats(),
-                health: bd
-                    .monitor
-                    .as_ref()
-                    .map_or(DeviceHealth::Unsupervised, |m| m.health()),
-                quarantines: bd.monitor.as_ref().map_or(0, |m| m.quarantines()),
+                health: bd.monitor.as_ref().map(|m| m.machine().state()),
+                quarantines: bd.monitor.as_ref().map_or(0, |m| m.machine().quarantines()),
                 reopens: bd.monitor.as_ref().map_or(0, |m| m.reopens()),
             })
             .collect()
@@ -502,7 +501,7 @@ impl<P: IoRouter + ControlPlane> ControlPlane for IoPlane<P> {
     fn cp_describe_instances(&self) -> Vec<String> {
         self.plane.cp_describe_instances()
     }
-    fn cp_health_reports(&self) -> Vec<ShardHealthReport> {
+    fn cp_health_reports(&self) -> Vec<HealthReport> {
         self.plane.cp_health_reports()
     }
     fn cp_loaded_plugins(&self) -> Vec<String> {

@@ -1,36 +1,38 @@
-//! Device supervision: the third tier of the Healthy→Degraded→Quarantined
-//! architecture (tier one supervises plugin instances, tier two shard
-//! workers; this supervises the [`NetDev`](crate::NetDev) boundary).
+//! Device supervision: the [`NetDev`](crate::NetDev) tier of the shared
+//! [`router_core::health`] machine (plugin instances and shard workers
+//! are the other two tiers).
 //!
 //! Each bound device gets a [`DeviceMonitor`] fed one [`PollSample`] per
 //! I/O-plane duty cycle, built from the device's own
-//! [`DeviceStats`](router_core::dataplane::control::DeviceStats) deltas:
+//! [`DeviceStats`](router_core::dataplane::control::DeviceStats) deltas.
+//! A cycle is a fault when either symptom is present, a clean
+//! observation otherwise:
 //!
 //! * **error pressure** — hard rx/tx I/O errors accumulate in a decayed
 //!   window (halved every [`DeviceSupervisorConfig::error_window_polls`]
-//!   cycles, the same integer decay the flow steerer uses); crossing
-//!   [`DeviceSupervisorConfig::error_threshold`] degrades the device.
-//! * **rx stall** — polls in which this device read nothing *while its
+//!   cycles, the same integer decay the flow steerer uses) that has
+//!   reached [`DeviceSupervisorConfig::error_threshold`].
+//! * **rx stall** — [`DeviceSupervisorConfig::rx_stall_polls`]
+//!   consecutive polls in which this device read nothing *while its
 //!   peers read frames*: traffic is flowing through the plane, this
 //!   device alone is silent. A quiet wire never counts as a stall.
 //!
-//! A device that stays degraded for
-//! [`DeviceSupervisorConfig::quarantine_after`] consecutive cycles is
-//! quarantined: the I/O plane stops polling its receive side and sheds
-//! its egress as counted device-tx drops (conservation stays exact —
-//! nothing silently vanishes with the device). Quarantine ends through
-//! [`crate::NetDev::reopen`] under capped exponential backoff; a
-//! successful reopen returns the device to [`DeviceHealth::Degraded`]
-//! *probation*, and [`DeviceSupervisorConfig::recover_after`] clean
-//! cycles make it [`DeviceHealth::Healthy`] again.
+//! While a device is quarantined the I/O plane stops polling its receive
+//! side and sheds its egress as counted device-tx drops (conservation
+//! stays exact — nothing silently vanishes with the device). The
+//! recovery action is [`crate::NetDev::reopen`]; a successful reopen
+//! clears the symptom windows and puts the device on degraded
+//! probation. Devices have no restart budget: reopens continue for as
+//! long as the device stays broken.
 //!
-//! The monitor is pure state-machine: the I/O plane owns the sampling
-//! and the reopen call, so the machine is testable without sockets.
+//! The monitor is pure bookkeeping: the I/O plane owns the sampling and
+//! the reopen call, so the tier is testable without sockets. Its clock
+//! is [`rp_packet::coarse_now_ns`].
 
-use router_core::dataplane::control::DeviceHealth;
-use std::time::{Duration, Instant};
+use router_core::health::{HealthConfig, HealthMachine};
+use std::time::Duration;
 
-/// Thresholds and timing of the per-device health machine.
+/// Symptom thresholds and timing of device supervision.
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceSupervisorConfig {
     /// Decayed hard-error count (rx + tx I/O errors) at which the device
@@ -42,13 +44,13 @@ pub struct DeviceSupervisorConfig {
     /// Consecutive polls with zero rx progress while peer devices made
     /// progress before the device degrades.
     pub rx_stall_polls: u32,
-    /// Consecutive degraded polls before quarantine.
+    /// Consecutive troubled polls before quarantine.
     pub quarantine_after: u32,
     /// Consecutive clean polls before a degraded device recovers.
     pub recover_after: u32,
     /// First reopen backoff after quarantine.
     pub backoff_initial: Duration,
-    /// Backoff cap (doubles per failed reopen up to this).
+    /// Backoff cap (doubles per reopen attempt up to this).
     pub backoff_max: Duration,
 }
 
@@ -80,72 +82,50 @@ pub struct PollSample {
     pub io_errors: u64,
 }
 
-/// The per-device health machine (see module docs).
+/// A device's symptom windows plus its health machine (see module docs).
 #[derive(Debug)]
 pub struct DeviceMonitor {
     cfg: DeviceSupervisorConfig,
-    health: DeviceHealth,
+    machine: HealthMachine,
     err_window: u64,
     polls_in_window: u32,
     stall_polls: u32,
-    degraded_streak: u32,
-    clean_streak: u32,
-    backoff: Duration,
-    reopen_at: Option<Instant>,
-    quarantines: u64,
-    reopens: u64,
-    reopen_failures: u64,
 }
 
 impl DeviceMonitor {
-    /// A fresh monitor in [`DeviceHealth::Healthy`].
+    /// A fresh monitor, Healthy.
     pub fn new(cfg: DeviceSupervisorConfig) -> DeviceMonitor {
         DeviceMonitor {
-            backoff: cfg.backoff_initial,
+            machine: HealthMachine::new(HealthConfig {
+                quarantine_after: cfg.quarantine_after,
+                recover_after: cfg.recover_after,
+                backoff_ns: cfg.backoff_initial.as_nanos() as u64,
+                backoff_cap_ns: cfg.backoff_max.as_nanos() as u64,
+                max_restarts: u32::MAX, // devices have no restart budget
+            }),
             cfg,
-            health: DeviceHealth::Healthy,
             err_window: 0,
             polls_in_window: 0,
             stall_polls: 0,
-            degraded_streak: 0,
-            clean_streak: 0,
-            reopen_at: None,
-            quarantines: 0,
-            reopens: 0,
-            reopen_failures: 0,
         }
     }
 
-    /// Current health.
-    pub fn health(&self) -> DeviceHealth {
-        self.health
+    /// The device's health machine.
+    pub fn machine(&self) -> &HealthMachine {
+        &self.machine
     }
 
-    /// Whether the device is currently off the wire.
-    pub fn quarantined(&self) -> bool {
-        self.health == DeviceHealth::Quarantined
-    }
-
-    /// Times the device was quarantined.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines
-    }
-
-    /// Successful quarantine→reopen cycles.
+    /// Successful quarantine→reopen cycles: only a successful reopen
+    /// ends a quarantine.
     pub fn reopens(&self) -> u64 {
-        self.reopens
+        self.machine.quarantines() - u64::from(self.machine.quarantined())
     }
 
-    /// Failed reopen attempts (each doubles the backoff up to the cap).
-    pub fn reopen_failures(&self) -> u64 {
-        self.reopen_failures
-    }
-
-    /// Step the machine with one duty cycle's sample. No-op while
+    /// Step with one duty cycle's sample at `now_ns`. No-op while
     /// quarantined (the device is not being polled; there is nothing to
     /// observe).
-    pub fn note_poll(&mut self, s: &PollSample, now: Instant) {
-        if self.quarantined() {
+    pub fn note_poll(&mut self, s: &PollSample, now_ns: u64) {
+        if self.machine.quarantined() {
             return;
         }
         self.err_window += s.io_errors;
@@ -161,68 +141,33 @@ impl DeviceMonitor {
         }
         let troubled = self.err_window >= self.cfg.error_threshold
             || self.stall_polls >= self.cfg.rx_stall_polls;
-        match self.health {
-            DeviceHealth::Healthy | DeviceHealth::Unsupervised => {
-                if troubled {
-                    self.health = DeviceHealth::Degraded;
-                    self.degraded_streak = 1;
-                    self.clean_streak = 0;
-                }
-            }
-            DeviceHealth::Degraded => {
-                if troubled {
-                    self.degraded_streak += 1;
-                    self.clean_streak = 0;
-                    if self.degraded_streak >= self.cfg.quarantine_after {
-                        self.health = DeviceHealth::Quarantined;
-                        self.quarantines += 1;
-                        self.reopen_at = Some(now + self.backoff);
-                    }
-                } else {
-                    self.clean_streak += 1;
-                    self.degraded_streak = 0;
-                    if self.clean_streak >= self.cfg.recover_after {
-                        self.health = DeviceHealth::Healthy;
-                        self.err_window = 0;
-                        self.polls_in_window = 0;
-                    }
-                }
-            }
-            DeviceHealth::Quarantined => {}
+        if troubled {
+            self.machine.fault(now_ns);
+        } else if self.machine.clean() {
+            self.clear_windows();
         }
     }
 
-    /// Whether the quarantine backoff has elapsed and the I/O plane
-    /// should attempt [`crate::NetDev::reopen`].
-    pub fn reopen_due(&self, now: Instant) -> bool {
-        matches!(self.reopen_at, Some(at) if self.quarantined() && now >= at)
-    }
-
-    /// Record the outcome of a reopen attempt. Success puts the device
-    /// on degraded probation with cleared windows and reset backoff;
-    /// failure doubles the backoff (capped) and re-arms the timer.
-    pub fn note_reopen(&mut self, ok: bool, now: Instant) {
+    /// Record the outcome of a reopen attempt. Success clears the
+    /// symptom windows for the probation period.
+    pub fn note_reopen(&mut self, ok: bool, now_ns: u64) {
+        self.machine.recovered(ok, now_ns);
         if ok {
-            self.reopens += 1;
-            self.health = DeviceHealth::Degraded;
-            self.err_window = 0;
-            self.polls_in_window = 0;
+            self.clear_windows();
             self.stall_polls = 0;
-            self.degraded_streak = 0;
-            self.clean_streak = 0;
-            self.backoff = self.cfg.backoff_initial;
-            self.reopen_at = None;
-        } else {
-            self.reopen_failures += 1;
-            self.backoff = (self.backoff * 2).min(self.cfg.backoff_max);
-            self.reopen_at = Some(now + self.backoff);
         }
+    }
+
+    fn clear_windows(&mut self) {
+        self.err_window = 0;
+        self.polls_in_window = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use router_core::health::HealthState;
 
     fn cfg() -> DeviceSupervisorConfig {
         DeviceSupervisorConfig {
@@ -246,16 +191,15 @@ mod tests {
     #[test]
     fn error_burst_degrades_then_quarantines() {
         let mut m = DeviceMonitor::new(cfg());
-        let now = Instant::now();
-        m.note_poll(&errs(4), now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
-        m.note_poll(&errs(1), now);
-        m.note_poll(&errs(1), now);
-        assert_eq!(m.health(), DeviceHealth::Quarantined);
-        assert_eq!(m.quarantines(), 1);
-        // Backoff: not due immediately, due after it elapses.
-        assert!(!m.reopen_due(now));
-        assert!(m.reopen_due(now + Duration::from_millis(2)));
+        m.note_poll(&errs(4), 0);
+        assert_eq!(m.machine().state(), HealthState::Degraded);
+        m.note_poll(&errs(1), 0);
+        m.note_poll(&errs(1), 0);
+        assert_eq!(m.machine().state(), HealthState::Quarantined);
+        assert_eq!(m.machine().quarantines(), 1);
+        // Backoff (1 ms, in ns): not due before it elapses, due after.
+        assert!(!m.machine().recovery_due(999_999));
+        assert!(m.machine().recovery_due(1_000_000));
     }
 
     #[test]
@@ -268,74 +212,70 @@ mod tests {
             quarantine_after: 8,
             ..cfg()
         });
-        let now = Instant::now();
-        m.note_poll(&errs(8), now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        m.note_poll(&errs(8), 0);
+        assert_eq!(m.machine().state(), HealthState::Degraded);
         for _ in 0..10 {
-            m.note_poll(&errs(0), now);
-            if m.health() == DeviceHealth::Healthy {
+            m.note_poll(&errs(0), 0);
+            if m.machine().state() == HealthState::Healthy {
                 break;
             }
         }
-        assert_eq!(m.health(), DeviceHealth::Healthy);
-        assert_eq!(m.quarantines(), 0, "recovery must not pass quarantine");
+        assert_eq!(m.machine().state(), HealthState::Healthy);
+        assert_eq!(
+            m.machine().quarantines(),
+            0,
+            "recovery must not pass quarantine"
+        );
     }
 
     #[test]
     fn rx_stall_only_counts_while_peers_progress() {
         let mut m = DeviceMonitor::new(cfg());
-        let now = Instant::now();
         // A quiet wire: nobody reads anything — never a stall.
         for _ in 0..20 {
-            m.note_poll(&PollSample::default(), now);
+            m.note_poll(&PollSample::default(), 0);
         }
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        assert_eq!(m.machine().state(), HealthState::Healthy);
         // Peers read, this device does not: stall streak → degraded.
         let stalled = PollSample {
             peer_rx_frames: 10,
             ..PollSample::default()
         };
-        m.note_poll(&stalled, now);
-        m.note_poll(&stalled, now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
-        m.note_poll(&stalled, now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        m.note_poll(&stalled, 0);
+        m.note_poll(&stalled, 0);
+        assert_eq!(m.machine().state(), HealthState::Healthy);
+        m.note_poll(&stalled, 0);
+        assert_eq!(m.machine().state(), HealthState::Degraded);
         // Progress resets the streak and recovers the device.
         let progressing = PollSample {
             rx_frames: 5,
             peer_rx_frames: 10,
             ..PollSample::default()
         };
-        m.note_poll(&progressing, now);
-        m.note_poll(&progressing, now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        m.note_poll(&progressing, 0);
+        m.note_poll(&progressing, 0);
+        assert_eq!(m.machine().state(), HealthState::Healthy);
     }
 
     #[test]
-    fn failed_reopens_double_backoff_to_cap() {
+    fn reopen_lands_on_probation_with_clear_windows() {
         let mut m = DeviceMonitor::new(cfg());
-        let mut now = Instant::now();
         for _ in 0..3 {
-            m.note_poll(&errs(4), now);
+            m.note_poll(&errs(4), 0);
         }
-        assert!(m.quarantined());
-        // 1ms → fail → 2ms → fail → 4ms → fail → 4ms (capped).
-        for expect_ms in [2u64, 4, 4] {
-            now += Duration::from_millis(100);
-            assert!(m.reopen_due(now));
-            m.note_reopen(false, now);
-            assert!(m.quarantined());
-            assert!(!m.reopen_due(now + Duration::from_millis(expect_ms - 1)));
-            assert!(m.reopen_due(now + Duration::from_millis(expect_ms)));
-        }
-        assert_eq!(m.reopen_failures(), 3);
-        // Success: probation, then clean polls → healthy; backoff reset.
-        now += Duration::from_millis(100);
-        m.note_reopen(true, now);
-        assert_eq!(m.health(), DeviceHealth::Degraded);
+        assert!(m.machine().quarantined());
+        m.note_reopen(true, 0);
+        assert_eq!(m.machine().state(), HealthState::Degraded);
         assert_eq!(m.reopens(), 1);
-        m.note_poll(&errs(0), now);
-        m.note_poll(&errs(0), now);
-        assert_eq!(m.health(), DeviceHealth::Healthy);
+        // The error window was cleared: clean polls end probation.
+        m.note_poll(&errs(0), 0);
+        m.note_poll(&errs(0), 0);
+        assert_eq!(m.machine().state(), HealthState::Healthy);
+        // Probation is over: the next quarantine starts the ramp over.
+        for _ in 0..3 {
+            m.note_poll(&errs(4), 5_000_000);
+        }
+        assert!(!m.machine().recovery_due(5_999_999));
+        assert!(m.machine().recovery_due(6_000_000));
     }
 }

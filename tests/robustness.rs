@@ -267,7 +267,7 @@ fn stalling_instance_exceeds_budget_and_quarantines() {
         verify_checksums: false,
         fault_policy: FaultPolicy {
             packet_budget_ns: 10_000,
-            restart: false,
+            max_restarts: 0,
             ..FaultPolicy::default()
         },
         ..RouterConfig::default()

@@ -148,7 +148,7 @@ fn commands_issued_while_a_shard_is_down_reach_it_through_the_journal() {
     // Restarts disabled: the killed shard stays down until the operator
     // intervenes, so commands demonstrably land while it cannot hear them.
     let mut pr = parallel(2, |c| {
-        c.router.fault_policy.restart = false;
+        c.router.fault_policy.max_restarts = 0;
     });
     run_script(&mut pr, "load firewall\ncreate firewall").unwrap();
 
@@ -247,7 +247,7 @@ fn wedged_shard_is_quarantined_by_the_watchdog_and_flush_returns() {
 #[test]
 fn control_map_and_flush_survive_a_dead_shard() {
     let mut pr = parallel(2, |c| {
-        c.router.fault_policy.restart = false;
+        c.router.fault_policy.max_restarts = 0;
     });
     run_script(&mut pr, "load stats\ncreate stats").unwrap();
 
