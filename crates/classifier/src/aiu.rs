@@ -21,9 +21,11 @@ use rp_packet::{FlowTuple, Mbuf};
 /// `router-core`; the AIU just numbers them).
 pub type GateId = usize;
 
-/// A flow record's gate binding, fetched in one slab access: the filter
-/// the binding was derived from plus the per-flow soft-state slot.
-pub type BindingMut<'a> = (
+/// A flow record's gate binding, fetched in one slab access: the bound
+/// instance, the filter the binding was derived from, and the per-flow
+/// soft-state slot.
+pub type BindingMut<'a, V> = (
+    &'a V,
     Option<FilterId>,
     &'a mut Option<Box<dyn std::any::Any + Send>>,
 );
@@ -185,33 +187,21 @@ impl<V: Clone> Aiu<V> {
         Ok((outcome, evicted))
     }
 
-    /// Fast-path fetch: the instance bound at `gate` for an
-    /// already-classified packet. One indexed load — no hashing, no
-    /// filter lookup (the "indirect function call instead of a 'hardwired'
-    /// function call" of §3.2).
+    /// The instance bound at `gate` for an already-classified packet
+    /// (read-only view; the data path uses [`Aiu::binding_mut`]).
     pub fn instance(&self, fix: FlowIndex, gate: GateId) -> Option<&V> {
         self.flow_table.record(fix)?.gates.instance(gate)
     }
 
-    /// The filter a cached binding was derived from.
-    pub fn bound_filter(&self, fix: FlowIndex, gate: GateId) -> Option<FilterId> {
-        self.flow_table.record(fix)?.gates.filter(gate)
-    }
-
-    /// Single-access fetch of a gate binding's filter id and soft-state
-    /// slot (the data path calls this once per gate; splitting it into
-    /// two record lookups would double the fast-path slab accesses).
-    pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_>> {
+    /// Single-access fetch of a gate binding: the bound instance, its
+    /// filter id and its soft-state slot, all borrowed from the flow
+    /// record (the data path calls this once per gate, so the instance
+    /// handle is never cloned on the fast path). One indexed load — no
+    /// hashing, no filter lookup (the "indirect function call instead of
+    /// a 'hardwired' function call" of §3.2). `None` when the record is
+    /// gone or nothing is bound at `gate`.
+    pub fn binding_mut(&mut self, fix: FlowIndex, gate: GateId) -> Option<BindingMut<'_, V>> {
         self.flow_table.record_mut(fix)?.gates.binding_mut(gate)
-    }
-
-    /// Mutable access to per-flow plugin soft state at a gate.
-    pub fn soft_state_mut(
-        &mut self,
-        fix: FlowIndex,
-        gate: GateId,
-    ) -> Option<&mut Option<Box<dyn std::any::Any + Send>>> {
-        self.flow_table.record_mut(fix)?.gates.soft_mut(gate)
     }
 
     /// Drop every cached flow whose record satisfies `pred` (the router
@@ -360,9 +350,13 @@ mod tests {
         let mut aiu = aiu3();
         aiu.install_filter(0, FilterSpec::any(), "p").unwrap();
         let (o, _) = aiu.classify(&tuple(9));
-        *aiu.soft_state_mut(o.fix().unwrap(), 0).unwrap() = Some(Box::new(42u64));
-        let st = aiu.soft_state_mut(o.fix().unwrap(), 0).unwrap();
+        let fix = o.fix().unwrap();
+        let (inst, filter, slot) = aiu.binding_mut(fix, 0).unwrap();
+        assert_eq!((*inst, filter), ("p", Some(FilterId(0))));
+        *slot = Some(Box::new(42u64));
+        let (_, _, st) = aiu.binding_mut(fix, 0).unwrap();
         assert_eq!(*st.as_ref().unwrap().downcast_ref::<u64>().unwrap(), 42);
+        assert!(aiu.binding_mut(fix, 1).is_none(), "nothing bound at gate 1");
     }
 
     #[test]

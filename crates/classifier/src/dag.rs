@@ -16,6 +16,11 @@
 //!   at each level and **never backtracks** — cost is `O(fields)`,
 //!   independent of the filter count, at the price of the exponential
 //!   worst-case memory the paper acknowledges.
+//! * **Removal restores the prior shape**: removing a filter prunes every
+//!   edge no remaining filter carries the label of (such an edge only
+//!   repeats what its covering edge holds) and returns the pruned nodes to
+//!   a free list the next insert reuses, so bind/unbind churn leaves the
+//!   live node count where it started.
 //! * **Most-specific-match semantics** with deterministic ambiguity
 //!   resolution (lexicographic field-order specificity; see
 //!   [`FilterSpec::specificity`]).
@@ -277,6 +282,9 @@ pub const LEVELS: usize = 6;
 /// ```
 pub struct DagTable<V> {
     nodes: Vec<Node>,
+    /// Slots of nodes pruned by [`DagTable::remove`], reused by the next
+    /// inserts so filter churn does not grow the arena.
+    free: Vec<NodeId>,
     root: NodeId,
     registry: HashMap<FilterId, (FilterSpec, V)>,
     next_id: u64,
@@ -304,6 +312,7 @@ impl<V> DagTable<V> {
         };
         DagTable {
             nodes: vec![root],
+            free: Vec::new(),
             root: 0,
             registry: HashMap::new(),
             next_id: 0,
@@ -351,9 +360,9 @@ impl<V> DagTable<V> {
         self.registry.is_empty()
     }
 
-    /// Number of trie nodes (the memory-blowup metric of §5.1.2).
+    /// Number of live trie nodes (the memory-blowup metric of §5.1.2).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.nodes.len() - self.free.len()
     }
 
     /// The spec and value of an installed filter.
@@ -412,7 +421,7 @@ impl<V> DagTable<V> {
         if !self.registry.contains_key(&id) {
             return Err(DagError::NoSuchFilter);
         }
-        self.remove_rec(self.root, id);
+        self.remove_rec(self.root, 0, id);
         self.sport_ranges.retain(|(_, f)| *f != id);
         self.dport_ranges.retain(|(_, f)| *f != id);
         Ok(self.registry.remove(&id).expect("checked present"))
@@ -462,12 +471,53 @@ impl<V> DagTable<V> {
     }
 
     fn new_child(&mut self, level: usize) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes.push(Node {
+        let node = Node {
             installed: Vec::new(),
             kind: Self::kind_for_level(level + 1),
-        });
-        id
+        };
+        match self.free.pop() {
+            Some(id) => {
+                self.nodes[id] = node;
+                id
+            }
+            None => {
+                self.nodes.push(node);
+                self.nodes.len() - 1
+            }
+        }
+    }
+
+    /// Return a pruned child and everything still linked below it to the
+    /// free list, dropping their edge maps and matchers. Set-pruning never
+    /// shares a child between parents, so nothing else points at a freed
+    /// slot, and a node is freed only once: the removal recursion frees
+    /// each child as it unlinks it.
+    fn free_subtree(&mut self, id: NodeId) {
+        let freed = std::mem::replace(
+            &mut self.nodes[id],
+            Node {
+                installed: Vec::new(),
+                kind: NodeKind::Leaf {
+                    filters: Vec::new(),
+                },
+            },
+        );
+        self.free.push(id);
+        let children: Vec<NodeId> = match freed.kind {
+            NodeKind::Leaf { .. } => Vec::new(),
+            NodeKind::Addr {
+                edges, wildcard, ..
+            } => edges.into_iter().map(|(_, c)| c).chain(wildcard).collect(),
+            NodeKind::Exact { edges, wildcard } => {
+                edges.children().into_iter().chain(wildcard).collect()
+            }
+            NodeKind::Port { edges, wildcard } => {
+                edges.into_iter().map(|(_, c)| c).chain(wildcard).collect()
+            }
+        };
+        for c in children {
+            self.free_subtree(c);
+        }
     }
 
     /// Deduplicated filters installed under each of `children`.
@@ -691,10 +741,13 @@ impl<V> DagTable<V> {
         }
     }
 
-    fn remove_rec(&mut self, node: NodeId, fid: FilterId) {
+    /// Remove `fid` from `node` (at `level`) and below, pruning the child
+    /// edges it leaves unneeded. Returns false when `fid` never passed
+    /// through `node`.
+    fn remove_rec(&mut self, node: NodeId, level: usize, fid: FilterId) -> bool {
         let pos = match self.nodes[node].installed.iter().position(|f| *f == fid) {
             Some(p) => p,
-            None => return,
+            None => return false,
         };
         self.nodes[node].installed.swap_remove(pos);
 
@@ -721,18 +774,9 @@ impl<V> DagTable<V> {
                 }
             }
             Snap::Addr(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<AddrMatch> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(l, _)| *l)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
+                let (dead, wc_dead) = self.remove_below(level, &edges, wildcard, fid, |s| {
+                    Some(if level == 0 { s.src } else { s.dst })
+                });
                 if let NodeKind::Addr {
                     edges,
                     wildcard,
@@ -762,18 +806,13 @@ impl<V> DagTable<V> {
                 }
             }
             Snap::Exact(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<u32> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(k, _)| *k)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
+                let (dead, wc_dead) = self.remove_below(level, &edges, wildcard, fid, |s| {
+                    if level == 2 {
+                        s.proto.map(u32::from)
+                    } else {
+                        s.rx_if
+                    }
+                });
                 if let NodeKind::Exact { edges, wildcard } = &mut self.nodes[node].kind {
                     for k in dead {
                         edges.remove(k);
@@ -784,18 +823,9 @@ impl<V> DagTable<V> {
                 }
             }
             Snap::Port(edges, wildcard) => {
-                for (_, c) in &edges {
-                    self.remove_rec(*c, fid);
-                }
-                if let Some(w) = wildcard {
-                    self.remove_rec(w, fid);
-                }
-                let dead: Vec<PortMatch> = edges
-                    .iter()
-                    .filter(|(_, c)| self.nodes[*c].installed.is_empty())
-                    .map(|(l, _)| *l)
-                    .collect();
-                let wc_dead = wildcard.is_some_and(|w| self.nodes[w].installed.is_empty());
+                let (dead, wc_dead) = self.remove_below(level, &edges, wildcard, fid, |s| {
+                    Some(if level == 3 { s.sport } else { s.dport })
+                });
                 if let NodeKind::Port { edges, wildcard } = &mut self.nodes[node].kind {
                     edges.retain(|(l, _)| !dead.contains(l));
                     if wc_dead {
@@ -804,6 +834,50 @@ impl<V> DagTable<V> {
                 }
             }
         }
+        true
+    }
+
+    /// Remove `fid` below each child edge of a node at `level` and the
+    /// node's wildcard, then free the children it leaves unneeded. Returns
+    /// the labels of the freed edges and whether the wildcard child was
+    /// freed; the caller unlinks them.
+    ///
+    /// A specific edge is needed while some filter through it carries the
+    /// edge's own label at this level (`label_of` reads a filter's label
+    /// there). Without one, the edge only holds filters it inherited
+    /// from covering edges, which are exactly the filters of the most
+    /// specific covering edge (or the wildcard): lookups fall through to
+    /// that edge and find the same set, so the edge and its subtree go.
+    /// That is what brings an insert-then-remove back to the prior shape.
+    /// The wildcard edge holds only wildcard filters, so it is needed
+    /// while it is non-empty.
+    fn remove_below<L: Copy + PartialEq>(
+        &mut self,
+        level: usize,
+        edges: &[(L, NodeId)],
+        wildcard: Option<NodeId>,
+        fid: FilterId,
+        label_of: impl Fn(&FilterSpec) -> Option<L>,
+    ) -> (Vec<L>, bool) {
+        let mut dead = Vec::new();
+        for &(l, c) in edges {
+            if self.remove_rec(c, level + 1, fid)
+                && !self.nodes[c]
+                    .installed
+                    .iter()
+                    .any(|f| label_of(self.spec_of(*f)) == Some(l))
+            {
+                self.free_subtree(c);
+                dead.push(l);
+            }
+        }
+        let wc_dead = wildcard.is_some_and(|w| {
+            self.remove_rec(w, level + 1, fid) && self.nodes[w].installed.is_empty()
+        });
+        if let (true, Some(w)) = (wc_dead, wildcard) {
+            self.free_subtree(w);
+        }
+        (dead, wc_dead)
     }
 
     /// Classify a tuple: the most specific matching filter and its bound

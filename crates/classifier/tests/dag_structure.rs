@@ -81,10 +81,9 @@ fn removal_returns_node_count_to_baseline() {
     assert!(dag.node_count() > baseline);
     dag.remove(b).unwrap();
     dag.remove(c).unwrap();
-    // Structure pruned back to exactly the single-filter shape is not
-    // guaranteed node-for-node (arena slots are not reused), but the
-    // *reachable* filter set matches: every probe behaves as with only
-    // filter a.
+    // Pruned subtrees are freed, so the live node count is back to the
+    // single-filter shape, and every probe behaves as with only filter a.
+    assert_eq!(dag.node_count(), baseline);
     let mut reference: DagTable<u32> = DagTable::new(BmpKind::Bspl);
     reference
         .insert("10.0.0.0/8, *, UDP, *, *, *".parse().unwrap(), 1)
@@ -101,7 +100,20 @@ fn removal_returns_node_count_to_baseline() {
             "probe {probe}"
         );
     }
-    let _ = a;
+    // Re-installing reuses the freed slots: the same growth as the first
+    // time, and removing again lands on the baseline.
+    let grown = {
+        let b = dag
+            .insert("10.1.0.0/16, *, *, *, 500-600, *".parse().unwrap(), 2)
+            .unwrap();
+        let n = dag.node_count();
+        dag.remove(b).unwrap();
+        n
+    };
+    assert!(grown > baseline);
+    assert_eq!(dag.node_count(), baseline);
+    dag.remove(a).unwrap();
+    assert_eq!(dag.node_count(), 1, "only the root is left");
 }
 
 #[test]

@@ -16,8 +16,7 @@ use rp_classifier::flow_table::flow_hash;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{FlowTuple, Mbuf};
 use rp_sched::link::{SchedPacket, Scheduler};
-use rp_sched::DrrScheduler;
-use std::collections::HashMap;
+use rp_sched::{DrrScheduler, PacketStore};
 use std::net::IpAddr;
 
 /// The plain best-effort fast path.
@@ -92,8 +91,9 @@ pub struct AltqDrrRouter {
     pub routes: RoutingTable,
     verify_checksums: bool,
     stats: DataPathStats,
-    /// DRR + packet store per interface.
-    queues: Vec<(DrrScheduler, HashMap<u64, Mbuf>, u64)>,
+    /// DRR + packet store per interface (the plugins' store, so the
+    /// Table 3 comparison differs only in classification and dispatch).
+    queues: Vec<(DrrScheduler, PacketStore)>,
     tx_logs: Vec<Vec<Mbuf>>,
     nqueues: u32,
 }
@@ -107,7 +107,7 @@ impl AltqDrrRouter {
             verify_checksums,
             stats: DataPathStats::default(),
             queues: (0..interfaces)
-                .map(|_| (DrrScheduler::new(quantum, 512), HashMap::new(), 0))
+                .map(|_| (DrrScheduler::new(quantum, 512), PacketStore::default()))
                 .collect(),
             tx_logs: (0..interfaces).map(|_| Vec::new()).collect(),
             nqueues,
@@ -148,11 +148,9 @@ impl AltqDrrRouter {
             Ok(t) => flow_hash(&t) % self.nqueues,
             Err(_) => 0,
         };
-        let (drr, store, next) = &mut self.queues[tx];
-        let cookie = *next;
-        *next += 1;
+        let (drr, store) = &mut self.queues[tx];
         let len = mbuf.len() as u32;
-        store.insert(cookie, mbuf);
+        let cookie = store.put(mbuf);
         let ok = drr.enqueue(
             SchedPacket {
                 flow: queue,
@@ -166,7 +164,7 @@ impl AltqDrrRouter {
             self.stats.forwarded += 1;
             Disposition::Queued(e.tx_if)
         } else {
-            store.remove(&cookie);
+            store.take(cookie);
             self.stats.dropped_queue += 1;
             Disposition::Dropped(DropReason::QueueFull)
         }
@@ -174,13 +172,13 @@ impl AltqDrrRouter {
 
     /// Drain up to `max` packets from an interface's DRR.
     pub fn pump(&mut self, iface: IfIndex, max: usize, now_ns: u64) -> usize {
-        let (drr, store, _) = &mut self.queues[iface as usize];
+        let (drr, store) = &mut self.queues[iface as usize];
         let mut sent = 0;
         while sent < max {
             let Some(pkt) = drr.dequeue(now_ns) else {
                 break;
             };
-            if let Some(m) = store.remove(&pkt.cookie) {
+            if let Some(m) = store.take(pkt.cookie) {
                 self.tx_logs[iface as usize].push(m);
                 sent += 1;
             }

@@ -28,7 +28,10 @@ impl NullInstance {
 
 impl PluginInstance for NullInstance {
     fn handle_packet(&self, _mbuf: &mut Mbuf, _ctx: &mut PacketCtx<'_>) -> PluginAction {
-        self.calls.fetch_add(1, Ordering::Relaxed);
+        // Only the owning router's thread calls an instance, so a plain
+        // load and store count exactly without a locked read-modify-write.
+        self.calls
+            .store(self.calls.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
         PluginAction::Continue
     }
 

@@ -20,32 +20,12 @@ use rp_packet::{FlowTuple, Mbuf};
 use rp_sched::hfsc::ClassId;
 use rp_sched::link::{SchedPacket, Scheduler};
 use rp_sched::{
-    DrrScheduler, FifoScheduler, HfscScheduler, HsfScheduler, RedQueue, ServiceCurve,
+    DrrScheduler, FifoScheduler, HfscScheduler, HsfScheduler, PacketStore, RedQueue, ServiceCurve,
     VirtualClockScheduler,
 };
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Cookie-addressed store for packets owned by a scheduler.
-#[derive(Default)]
-struct PacketStore {
-    map: HashMap<u64, Mbuf>,
-    next: u64,
-}
-
-impl PacketStore {
-    fn put(&mut self, mbuf: Mbuf) -> u64 {
-        let c = self.next;
-        self.next += 1;
-        self.map.insert(c, mbuf);
-        c
-    }
-
-    fn take(&mut self, cookie: u64) -> Option<Mbuf> {
-        self.map.remove(&cookie)
-    }
-}
 
 /// Take ownership of the packet out of the gate's `&mut Mbuf`.
 fn take_mbuf(mbuf: &mut Mbuf) -> Mbuf {
@@ -998,6 +978,62 @@ mod tests {
             flows.push(m.len());
         }
         assert_eq!(flows.len(), 6);
+    }
+
+    #[test]
+    fn drr_flow_unbound_releases_every_queued_packet() {
+        let mut p = DrrPlugin::default();
+        let inst = p.create_instance("quantum=1500 limit=4").unwrap();
+        let typed = p.instances[0].clone();
+        let stored = || typed.inner.lock().store.len();
+        // Flow 1 overflows its limit (the rejected packets must not stay
+        // stored); flow 2 queues three.
+        let mut soft = [None, None];
+        let arrivals = [
+            (1, 100),
+            (2, 200),
+            (1, 101),
+            (1, 102),
+            (2, 201),
+            (1, 103),
+            (1, 104),
+            (1, 105),
+            (2, 202),
+        ];
+        for (i, (fix, len)) in arrivals.into_iter().enumerate() {
+            let mut m = Mbuf::new(vec![0u8; len], 0);
+            let mut ctx = PacketCtx {
+                gate: Gate::Scheduling,
+                now_ns: i as u64,
+                fix: FlowIndex(fix),
+                filter: None,
+                soft_state: &mut soft[fix as usize - 1],
+                cost_ns: 0,
+            };
+            inst.handle_packet(&mut m, &mut ctx);
+        }
+        let sched = inst.as_scheduler().unwrap();
+        assert_eq!((sched.backlog(), stored()), (7, 7));
+        let key = FlowTuple {
+            src: "10.0.0.1".parse().unwrap(),
+            dst: "10.0.0.2".parse().unwrap(),
+            proto: 17,
+            sport: 1,
+            dport: 2,
+            rx_if: 0,
+        };
+        inst.flow_unbound(&key, soft[0].take());
+        assert_eq!((sched.backlog(), stored()), (3, 3), "flow 1 purged");
+        let mut lens = Vec::new();
+        while let Some(m) = sched.dequeue(0) {
+            lens.push(m.len());
+        }
+        assert_eq!(lens, [200, 201, 202]);
+        assert_eq!(stored(), 0);
+        assert_eq!(call(&inst, 3, 300, 0), PluginAction::Consumed);
+        assert_eq!(stored(), 1);
+        assert_eq!(sched.dequeue(0).map(|m| m.len()), Some(300));
+        assert_eq!(stored(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::supervisor::{self, FaultPolicy, HealthReport, Supervisor};
 use rp_classifier::aiu::ClassifyOutcome;
 use rp_classifier::flow_table::EvictedFlow;
 use rp_classifier::{Aiu, AiuConfig, BmpKind, FilterId, FlowTableConfig};
-use rp_packet::mbuf::IfIndex;
+use rp_packet::mbuf::{FlowIndex, IfIndex};
 use rp_packet::{Mbuf, MbufPool, PoolStats};
 use std::net::IpAddr;
 use std::sync::Arc;
@@ -122,8 +122,6 @@ enum GateOutcome {
     /// The instance faulted mid-packet; the packet must be dropped (and
     /// counted) rather than forwarded with possibly-torn state.
     Fault,
-    /// The data path's own flow state was inconsistent.
-    Internal,
 }
 
 impl Router {
@@ -413,83 +411,96 @@ impl Router {
     }
 
     /// The gate dispatch: ensure the packet is classified (first gate),
-    /// then fetch the bound instance for `gate` through the FIX — the
-    /// paper's gate macro. `Err` means the packet could not be classified
-    /// at all (unparsable headers): it must take the malformed drop path,
-    /// not silently skip the gate.
-    fn at_gate(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<Option<InstanceRef>, DropReason> {
+    /// then run the instance bound at `gate` through the FIX — the paper's
+    /// gate macro. `Ok(None)` means nothing in service is bound there.
+    /// `Err` means the packet could not be classified at all (unparsable
+    /// headers): it must take the malformed drop path, not silently skip
+    /// the gate. `egress` is set at the scheduling gate: the bound
+    /// scheduler joins that interface's drain list.
+    fn at_gate(
+        &mut self,
+        mbuf: &mut Mbuf,
+        gate: Gate,
+        egress: Option<IfIndex>,
+    ) -> Result<Option<GateOutcome>, DropReason> {
         if mbuf.fix.is_none() && !mbuf.class_denied {
-            match self.aiu.classify_mbuf(mbuf) {
-                Ok((outcome, evicted)) => {
-                    let gi = gate.index();
-                    match outcome {
-                        ClassifyOutcome::CacheHit(_) => self.metrics.class_hits[gi] += 1,
-                        ClassifyOutcome::CacheMiss(_) => {
-                            self.metrics.class_misses[gi] += 1;
-                            if rp_packet::flow::is_fragment(mbuf.data()) {
-                                self.metrics.fragment_flows += 1;
-                            }
-                            if self.tracer.wants(TraceCategory::Flow) {
-                                let now = self.now_ns;
-                                let detail = format!(
-                                    "flow created at {gate} fix={:?}",
-                                    mbuf.fix.map(|f| f.0)
-                                );
-                                self.tracer.record(now, TraceCategory::Flow, detail);
-                            }
-                        }
-                        ClassifyOutcome::Denied => {
-                            // Admission control refused a record: the
-                            // packet still forwards, uncached, on every
-                            // gate's default path. Counted via the
-                            // flow-table stats gauge in the metrics
-                            // snapshot.
-                            self.metrics.class_misses[gi] += 1;
-                            if self.tracer.wants(TraceCategory::Flow) {
-                                let now = self.now_ns;
-                                let detail = format!("flow admission denied at {gate}");
-                                self.tracer.record(now, TraceCategory::Flow, detail);
-                            }
-                        }
-                    }
-                    if let Some(ev) = evicted {
-                        self.metrics.class_recycled[gi] += 1;
-                        if self.tracer.wants(TraceCategory::Flow) {
-                            let now = self.now_ns;
-                            let detail = format!("flow recycled at {gate}: {}", ev.key);
-                            self.tracer.record(now, TraceCategory::Flow, detail);
-                        }
-                        self.run_eviction_callbacks(ev);
-                    }
-                }
-                Err(_) => return Err(DropReason::Malformed),
-            }
+            self.classify(mbuf, gate)?;
         }
         let Some(fix) = mbuf.fix else {
             return Ok(None);
         };
-        let Some(inst) = self.aiu.instance(fix, gate.index()).cloned() else {
-            return Ok(None);
-        };
-        // Defense in depth: a quarantined instance never sees another
-        // packet, even through a stale cached binding.
-        if self.supervisor.is_quarantined(&inst) {
-            return Ok(None);
-        }
-        Ok(Some(inst))
+        Ok(self.call_instance(mbuf, gate, fix, egress))
     }
 
-    /// Invoke an instance at a gate under supervision: the call is
-    /// panic-isolated, charged against the policy's packet budget, and
-    /// any fault is counted against the instance's health.
-    fn call_instance(&mut self, inst: &InstanceRef, mbuf: &mut Mbuf, gate: Gate) -> GateOutcome {
-        self.stats.plugin_calls += 1;
-        let Some(fix) = mbuf.fix else {
-            // Gates run only after classification; no FIX here means the
-            // data path lost track of its own state. Count, don't panic.
-            return GateOutcome::Internal;
+    /// First-gate classification: look the packet up in the flow cache,
+    /// creating its record on a miss, and count the outcome at `gate`.
+    fn classify(&mut self, mbuf: &mut Mbuf, gate: Gate) -> Result<(), DropReason> {
+        let Ok((outcome, evicted)) = self.aiu.classify_mbuf(mbuf) else {
+            return Err(DropReason::Malformed);
         };
-        let now = self.now_ns;
+        let gi = gate.index();
+        match outcome {
+            ClassifyOutcome::CacheHit(_) => self.metrics.class_hits[gi] += 1,
+            ClassifyOutcome::CacheMiss(_) => {
+                self.metrics.class_misses[gi] += 1;
+                if rp_packet::flow::is_fragment(mbuf.data()) {
+                    self.metrics.fragment_flows += 1;
+                }
+                if self.tracer.wants(TraceCategory::Flow) {
+                    let now = self.now_ns;
+                    let detail = format!("flow created at {gate} fix={:?}", mbuf.fix.map(|f| f.0));
+                    self.tracer.record(now, TraceCategory::Flow, detail);
+                }
+            }
+            ClassifyOutcome::Denied => {
+                // Admission control refused a record: the packet still
+                // forwards, uncached, on every gate's default path.
+                // Counted via the flow-table stats gauge in the metrics
+                // snapshot.
+                self.metrics.class_misses[gi] += 1;
+                if self.tracer.wants(TraceCategory::Flow) {
+                    let now = self.now_ns;
+                    let detail = format!("flow admission denied at {gate}");
+                    self.tracer.record(now, TraceCategory::Flow, detail);
+                }
+            }
+        }
+        if let Some(ev) = evicted {
+            self.metrics.class_recycled[gi] += 1;
+            if self.tracer.wants(TraceCategory::Flow) {
+                let now = self.now_ns;
+                let detail = format!("flow recycled at {gate}: {}", ev.key);
+                self.tracer.record(now, TraceCategory::Flow, detail);
+            }
+            self.run_eviction_callbacks(ev);
+        }
+        Ok(())
+    }
+
+    /// Invoke the instance bound at `gate` under supervision: the call is
+    /// panic-isolated, charged against the policy's packet budget, and
+    /// any fault is counted against the instance's health. The instance,
+    /// its filter id and its soft-state slot are one borrow of the flow
+    /// record; the instance handle is cloned only when the call faults or
+    /// a scheduler first joins an interface's drain list. `None` when
+    /// nothing in service is bound at `gate`.
+    fn call_instance(
+        &mut self,
+        mbuf: &mut Mbuf,
+        gate: Gate,
+        fix: FlowIndex,
+        egress: Option<IfIndex>,
+    ) -> Option<GateOutcome> {
+        let (inst, filter, slot) = self.aiu.binding_mut(fix, gate.index())?;
+        // Defense in depth: a quarantined instance never sees another
+        // packet, even through a stale cached binding.
+        if self.supervisor.is_quarantined(inst) {
+            return None;
+        }
+        if let Some(tx_if) = egress {
+            self.interfaces[tx_if as usize].attach_sched(inst);
+        }
+        self.stats.plugin_calls += 1;
         let budget = self.supervisor.policy().packet_budget_ns;
         // Latency is wall-clock (virtual time doesn't advance inside a
         // call) and sampled 1-in-N so the clock reads stay off the common
@@ -498,50 +509,43 @@ impl Router {
             .metrics
             .note_gate_call(gate)
             .then(std::time::Instant::now);
-        // The AIU borrow lives only inside this block: fault handling
-        // below needs `&mut self` again.
-        let call = {
-            let Some((filter, slot)) = self.aiu.binding_mut(fix, gate.index()) else {
-                // The flow record vanished between classification and the
-                // gate call (e.g. recycled under pressure mid-pipeline).
-                return GateOutcome::Internal;
-            };
-            let mut ctx = PacketCtx {
-                gate,
-                now_ns: now,
-                fix,
-                filter,
-                soft_state: slot,
-                cost_ns: 0,
-            };
-            supervisor::run_isolated(|| {
-                let action = inst.handle_packet(mbuf, &mut ctx);
-                (action, ctx.cost_ns)
-            })
+        let mut ctx = PacketCtx {
+            gate,
+            now_ns: self.now_ns,
+            fix,
+            filter,
+            soft_state: slot,
+            cost_ns: 0,
         };
+        let call = supervisor::run_isolated(|| {
+            let action = inst.handle_packet(mbuf, &mut ctx);
+            (action, ctx.cost_ns)
+        });
         if let Some(t0) = t0 {
             self.metrics
                 .note_gate_latency(gate, t0.elapsed().as_nanos() as u64);
         }
-        match call {
-            Ok((action, cost_ns)) => {
-                if budget > 0 && cost_ns > budget {
-                    // A modelled stall: the call "completed" but charged
-                    // more processing time than the policy tolerates.
-                    let why = format!("budget exceeded: cost {cost_ns}ns > budget {budget}ns");
-                    if self.note_fault(inst, why) {
-                        mbuf.fix = None; // quarantined: reclassify downstream
-                    }
-                }
-                GateOutcome::Action(action)
-            }
-            Err(msg) => {
-                if self.note_fault(inst, format!("panic: {msg}")) {
-                    mbuf.fix = None;
-                }
-                GateOutcome::Fault
+        let (outcome, fault) = match call {
+            // A modelled stall: the call "completed" but charged more
+            // processing time than the policy tolerates.
+            Ok((action, cost_ns)) if budget > 0 && cost_ns > budget => (
+                GateOutcome::Action(action),
+                Some(format!(
+                    "budget exceeded: cost {cost_ns}ns > budget {budget}ns"
+                )),
+            ),
+            Ok((action, _)) => (GateOutcome::Action(action), None),
+            Err(msg) => (GateOutcome::Fault, Some(format!("panic: {msg}"))),
+        };
+        if let Some(why) = fault {
+            // Fault handling needs the whole router, so the flow-record
+            // borrow ends here with the one clone of the handle.
+            let inst = inst.clone();
+            if self.note_fault(&inst, why) {
+                mbuf.fix = None; // quarantined: reclassify downstream
             }
         }
+        Some(outcome)
     }
 
     /// Count one fault (`why` describes it); on the quarantine edge, pull
@@ -699,28 +703,22 @@ impl Router {
             if !self.enabled[gate.index()] {
                 continue;
             }
-            let inst = match self.at_gate(&mut mbuf, gate) {
-                Ok(i) => i,
-                Err(reason) => return self.drop_pkt(mbuf, reason),
-            };
-            if let Some(inst) = inst {
-                match self.call_instance(&inst, &mut mbuf, gate) {
-                    GateOutcome::Action(PluginAction::Continue) => {}
-                    GateOutcome::Action(PluginAction::Consumed) => {
-                        // A consuming plugin either took the buffer (the
-                        // mbuf left behind is an empty shell) or left it;
-                        // recycling handles both.
-                        self.pool.recycle(mbuf);
-                        return Disposition::Consumed(gate);
-                    }
-                    GateOutcome::Action(PluginAction::Drop) => {
-                        return self.drop_pkt(mbuf, DropReason::Plugin(gate))
-                    }
-                    GateOutcome::Fault => {
-                        return self.drop_pkt(mbuf, DropReason::PluginFault(gate))
-                    }
-                    GateOutcome::Internal => return self.drop_pkt(mbuf, DropReason::Internal),
+            match self.at_gate(&mut mbuf, gate, None) {
+                Ok(None) | Ok(Some(GateOutcome::Action(PluginAction::Continue))) => {}
+                Ok(Some(GateOutcome::Action(PluginAction::Consumed))) => {
+                    // A consuming plugin either took the buffer (the mbuf
+                    // left behind is an empty shell) or left it; recycling
+                    // handles both.
+                    self.pool.recycle(mbuf);
+                    return Disposition::Consumed(gate);
                 }
+                Ok(Some(GateOutcome::Action(PluginAction::Drop))) => {
+                    return self.drop_pkt(mbuf, DropReason::Plugin(gate))
+                }
+                Ok(Some(GateOutcome::Fault)) => {
+                    return self.drop_pkt(mbuf, DropReason::PluginFault(gate))
+                }
+                Err(reason) => return self.drop_pkt(mbuf, reason),
             }
         }
 
@@ -829,32 +827,23 @@ impl Router {
     fn dispatch_egress(&mut self, mut mbuf: Mbuf, tx_if: IfIndex) -> Disposition {
         // Scheduling gate on the egress interface.
         if self.enabled[Gate::Scheduling.index()] {
-            let inst = match self.at_gate(&mut mbuf, Gate::Scheduling) {
-                Ok(i) => i,
+            match self.at_gate(&mut mbuf, Gate::Scheduling, Some(tx_if)) {
+                // No scheduler bound, or it declined (e.g. pass-through).
+                Ok(None) | Ok(Some(GateOutcome::Action(PluginAction::Continue))) => {}
+                Ok(Some(GateOutcome::Action(PluginAction::Consumed))) => {
+                    // The scheduler took the buffer; what's left is an
+                    // empty shell (recycled as a no-op).
+                    self.pool.recycle(mbuf);
+                    self.stats.forwarded += 1;
+                    return Disposition::Queued(tx_if);
+                }
+                Ok(Some(GateOutcome::Action(PluginAction::Drop))) => {
+                    return self.drop_pkt(mbuf, DropReason::QueueFull)
+                }
+                Ok(Some(GateOutcome::Fault)) => {
+                    return self.drop_pkt(mbuf, DropReason::PluginFault(Gate::Scheduling))
+                }
                 Err(reason) => return self.drop_pkt(mbuf, reason),
-            };
-            if let Some(inst) = inst {
-                self.interfaces[tx_if as usize].attach_sched(&inst);
-                return match self.call_instance(&inst, &mut mbuf, Gate::Scheduling) {
-                    GateOutcome::Action(PluginAction::Consumed) => {
-                        // The scheduler took the buffer; what's left is an
-                        // empty shell (recycled as a no-op).
-                        self.pool.recycle(mbuf);
-                        self.stats.forwarded += 1;
-                        Disposition::Queued(tx_if)
-                    }
-                    GateOutcome::Action(PluginAction::Drop) => {
-                        self.drop_pkt(mbuf, DropReason::QueueFull)
-                    }
-                    GateOutcome::Action(PluginAction::Continue) => {
-                        // Scheduler declined (e.g. pass-through): emit.
-                        self.emit(mbuf, tx_if)
-                    }
-                    GateOutcome::Fault => {
-                        self.drop_pkt(mbuf, DropReason::PluginFault(Gate::Scheduling))
-                    }
-                    GateOutcome::Internal => self.drop_pkt(mbuf, DropReason::Internal),
-                };
             }
         }
         self.emit(mbuf, tx_if)

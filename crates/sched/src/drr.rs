@@ -9,8 +9,8 @@
 //! while the deficit covers them. O(1) per packet as long as the quantum
 //! is at least the maximum packet size (the classic DRR requirement).
 
-use crate::link::{FlowId, SchedPacket, Scheduler};
-use std::collections::{HashMap, VecDeque};
+use crate::link::{FlowId, FlowMap, SchedPacket, Scheduler};
+use std::collections::VecDeque;
 
 struct FlowQueue {
     queue: VecDeque<SchedPacket>,
@@ -23,7 +23,7 @@ struct FlowQueue {
 
 /// Weighted DRR over per-flow queues.
 pub struct DrrScheduler {
-    flows: HashMap<FlowId, FlowQueue>,
+    flows: FlowMap<FlowQueue>,
     /// Round-robin list of active flows.
     active: VecDeque<FlowId>,
     quantum: u32,
@@ -39,7 +39,7 @@ impl DrrScheduler {
     pub fn new(quantum: u32, per_flow_limit: usize) -> Self {
         assert!(quantum > 0);
         DrrScheduler {
-            flows: HashMap::new(),
+            flows: FlowMap::default(),
             active: VecDeque::new(),
             quantum,
             per_flow_limit,
@@ -55,7 +55,6 @@ impl DrrScheduler {
     pub fn set_weight(&mut self, flow: FlowId, weight: u32) {
         assert!(weight > 0);
         let w = self.default_weight;
-        let limit = self.per_flow_limit;
         let entry = self.flows.entry(flow).or_insert_with(|| FlowQueue {
             queue: VecDeque::new(),
             deficit: 0,
@@ -63,7 +62,6 @@ impl DrrScheduler {
             active: false,
             visited: false,
         });
-        let _ = limit;
         entry.weight = weight;
     }
 
@@ -272,6 +270,38 @@ mod tests {
             },
             0
         ));
+    }
+
+    #[test]
+    fn purge_flow_returns_every_queued_packet() {
+        let mut drr = DrrScheduler::new(1500, 8);
+        let mut store = crate::PacketStore::default();
+        for (flow, len) in [(1, 100), (2, 200), (1, 101), (1, 102), (2, 201)] {
+            let cookie = store.put(rp_packet::Mbuf::new(vec![0; len], 0));
+            assert!(drr.enqueue(
+                SchedPacket {
+                    flow,
+                    len: len as u32,
+                    arrival_ns: 0,
+                    cookie,
+                },
+                0,
+            ));
+        }
+        let purged: Vec<usize> = drr
+            .purge_flow(1)
+            .into_iter()
+            .map(|p| store.take(p.cookie).unwrap().len())
+            .collect();
+        assert_eq!(purged, [100, 101, 102], "in queue order");
+        assert_eq!((drr.backlog(), store.len()), (2, 2));
+        assert_eq!(drr.active_flows(), 1);
+        assert!(drr.purge_flow(1).is_empty(), "nothing left to purge");
+        while let Some(p) = drr.dequeue(0) {
+            assert_eq!(p.flow, 2);
+            store.take(p.cookie).unwrap();
+        }
+        assert!(store.is_empty());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   bandwidth hierarchically — this split is what decouples delay from
 //!   bandwidth allocation.
 
-use crate::link::{FlowId, SchedPacket, Scheduler};
-use std::collections::{HashMap, VecDeque};
+use crate::link::{FlowId, FlowMap, SchedPacket, Scheduler};
+use std::collections::VecDeque;
 
 /// A two-piece linear service curve: rate `m1` (bits/s) for the first
 /// `d_us` microseconds of a backlog period, rate `m2` afterwards.
@@ -265,7 +265,7 @@ struct Class {
 pub struct HfscScheduler {
     classes: Vec<Class>,
     root: ClassId,
-    flow_map: HashMap<FlowId, ClassId>,
+    flow_map: FlowMap<ClassId>,
     default_class: Option<ClassId>,
     per_class_limit: usize,
     backlog: usize,
@@ -297,7 +297,7 @@ impl HfscScheduler {
         HfscScheduler {
             classes: vec![root],
             root: ClassId(0),
-            flow_map: HashMap::new(),
+            flow_map: FlowMap::default(),
             default_class: None,
             per_class_limit,
             backlog: 0,

@@ -14,7 +14,7 @@
 
 use crate::drr::DrrScheduler;
 use crate::hfsc::{ClassId, HfscScheduler, ServiceCurve};
-use crate::link::{FlowId, SchedPacket, Scheduler};
+use crate::link::{FlowId, FlowMap, SchedPacket, Scheduler};
 use std::collections::HashMap;
 
 /// H-FSC over leaves, DRR within each leaf.
@@ -23,7 +23,7 @@ pub struct HsfScheduler {
     /// Inner DRR per leaf class.
     inner: HashMap<ClassId, DrrScheduler>,
     /// flow → leaf class routing.
-    flow_leaf: HashMap<FlowId, ClassId>,
+    flow_leaf: FlowMap<ClassId>,
     default_leaf: Option<ClassId>,
     quantum: u32,
     per_flow_limit: usize,
@@ -38,7 +38,7 @@ impl HsfScheduler {
             // unbounded: admission happens at the inner DRR.
             outer: HfscScheduler::new(link_bps, usize::MAX / 2),
             inner: HashMap::new(),
-            flow_leaf: HashMap::new(),
+            flow_leaf: FlowMap::default(),
             default_leaf: None,
             quantum,
             per_flow_limit,

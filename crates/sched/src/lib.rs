@@ -20,12 +20,14 @@ pub mod hfsc;
 pub mod hsf;
 pub mod link;
 pub mod red;
+pub mod store;
 pub mod vclock;
 
 pub use drr::DrrScheduler;
 pub use fifo::FifoScheduler;
 pub use hfsc::{HfscScheduler, ServiceCurve};
 pub use hsf::HsfScheduler;
-pub use link::{LinkSim, SchedPacket, Scheduler};
+pub use link::{FlowMap, LinkSim, SchedPacket, Scheduler};
 pub use red::RedQueue;
+pub use store::PacketStore;
 pub use vclock::VirtualClockScheduler;

@@ -6,9 +6,43 @@
 //! link-sharing experiments measure bandwidth shares without real NICs.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Flow (or leaf-class) identifier within a scheduler.
 pub type FlowId = u32;
+
+/// A map keyed by [`FlowId`], hashed with [`FlowHasher`] instead of
+/// SipHash. The router's flow ids are flow-table slot indices, which the
+/// router picks, so the keyed hash's flooding protection buys nothing on
+/// the per-packet path.
+pub type FlowMap<V> = HashMap<FlowId, V, BuildHasherDefault<FlowHasher>>;
+
+/// One multiply per key (the Fx hash). Low product bits depend only on
+/// low key bits, and the odd multiplier makes that a bijection, so dense
+/// slot indices land in distinct buckets; the high bits the map uses as
+/// tags are well mixed.
+#[derive(Default, Clone, Copy)]
+pub struct FlowHasher(u64);
+
+impl Hasher for FlowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// A packet as seen by a scheduler: its wire length and the flow it was
 /// classified into. The actual bytes travel alongside in the router; the

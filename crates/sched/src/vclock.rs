@@ -11,9 +11,9 @@
 //! order. Flows sending faster than their rate accumulate stamps in the
 //! future and lose to conforming flows — rate policing by sorting.
 
-use crate::link::{FlowId, SchedPacket, Scheduler};
+use crate::link::{FlowId, FlowMap, SchedPacket, Scheduler};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Stamped {
@@ -49,7 +49,7 @@ struct VcFlow {
 /// Virtual Clock scheduler.
 pub struct VirtualClockScheduler {
     heap: BinaryHeap<Reverse<Stamped>>,
-    flows: HashMap<FlowId, VcFlow>,
+    flows: FlowMap<VcFlow>,
     default_rate: f64,
     /// Per-flow queue limit: a flow stamping far into the future must not
     /// starve other flows' buffer space (the usual VC deployment pairs the
@@ -66,7 +66,7 @@ impl VirtualClockScheduler {
         assert!(default_rate_bps > 0);
         VirtualClockScheduler {
             heap: BinaryHeap::new(),
-            flows: HashMap::new(),
+            flows: FlowMap::default(),
             default_rate: default_rate_bps as f64 / 8.0,
             per_flow_limit,
             seq: 0,

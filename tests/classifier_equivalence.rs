@@ -7,6 +7,7 @@ use proptest::prelude::*;
 use router_plugins::classifier::{
     AddrMatch, BmpKind, DagTable, FilterSpec, LinearTable, PortMatch,
 };
+use router_plugins::netsim::traffic::random_filters;
 use router_plugins::packet::FlowTuple;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
@@ -106,23 +107,41 @@ proptest! {
         let mut dag = DagTable::new(BmpKind::Bspl);
         let mut lin = LinearTable::new();
         let mut ids = Vec::new();
-        for (i, f) in filters.into_iter().enumerate() {
+        for (i, f) in filters.iter().enumerate() {
             let did = dag.insert(f.clone(), i).unwrap();
-            let lid = lin.insert(f, i);
+            let lid = lin.insert(f.clone(), i);
             ids.push((did, lid));
         }
-        for (i, &rm) in remove_mask.iter().enumerate() {
-            if rm {
-                if let Some((did, lid)) = ids.get(i) {
-                    dag.remove(*did).unwrap();
-                    lin.remove(*lid).unwrap();
-                }
+        // The same survivors installed into a fresh table, in order.
+        let mut fresh = DagTable::new(BmpKind::Bspl);
+        let mut removed = Vec::new();
+        for (i, f) in filters.iter().enumerate() {
+            if remove_mask.get(i).copied().unwrap_or(false) {
+                let (did, lid) = ids[i];
+                dag.remove(did).unwrap();
+                lin.remove(lid).unwrap();
+                removed.push(i);
+            } else {
+                fresh.insert(f.clone(), i).unwrap();
             }
         }
-        for t in tuples {
-            let d = dag.lookup(&t).map(|(_, v)| *v);
-            let l = lin.lookup(&t).map(|(_, v)| *v);
+        // Removal frees what it prunes: the live shape is the shape the
+        // survivors alone build.
+        prop_assert_eq!(dag.node_count(), fresh.node_count());
+        for t in &tuples {
+            let d = dag.lookup(t).map(|(_, v)| *v);
+            let l = lin.lookup(t).map(|(_, v)| *v);
             prop_assert_eq!(d, l, "diverged after removal on {}", t);
+        }
+        // Re-installing the removed filters reuses the freed slots.
+        for i in removed {
+            dag.insert(filters[i].clone(), i).unwrap();
+            lin.insert(filters[i].clone(), i);
+        }
+        for t in &tuples {
+            let d = dag.lookup(t).map(|(_, v)| *v);
+            let l = lin.lookup(t).map(|(_, v)| *v);
+            prop_assert_eq!(d, l, "diverged after re-insert on {}", t);
         }
     }
 }
@@ -160,4 +179,59 @@ fn nested_port_ranges_match_linear() {
             );
         }
     }
+}
+
+/// Filter churn leaves no residue: binding and unbinding a /32 filter
+/// (what a pmgr `bind`/`unbind` pair does on a 300-filter firewall table)
+/// a thousand times leaves the live node count and every probe's lookup
+/// exactly as before.
+#[test]
+fn bind_unbind_churn_returns_dag_to_baseline() {
+    let filters = random_filters(300, false, 0xF17);
+    let mut dag = DagTable::new(BmpKind::Bspl);
+    for (i, f) in filters.iter().enumerate() {
+        dag.insert(f.clone(), i).unwrap();
+    }
+    // Probes: the first address of each filter's source and destination,
+    // under UDP and TCP, plus the churned destinations themselves.
+    let churned = |i: u32| IpAddr::V4(Ipv4Addr::from(0xC633_6400 | (i % 256)));
+    let first = |m: &AddrMatch, alt: IpAddr| match m {
+        AddrMatch::V4(p) => IpAddr::V4(Ipv4Addr::from(p.bits())),
+        _ => alt,
+    };
+    let mut probes = Vec::new();
+    for (i, f) in filters.iter().enumerate() {
+        let src = first(&f.src, IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)));
+        let dst = first(&f.dst, churned(i as u32));
+        for (dst, proto) in [(dst, 6), (dst, 17), (churned(i as u32), 17)] {
+            probes.push(FlowTuple {
+                src,
+                dst,
+                proto,
+                sport: 1024,
+                dport: 53,
+                rx_if: 0,
+            });
+        }
+    }
+    let baseline_nodes = dag.node_count();
+    let lookup_all = |dag: &DagTable<usize>| -> Vec<_> {
+        probes
+            .iter()
+            .map(|t| dag.lookup(t).map(|(id, v)| (id, *v)))
+            .collect()
+    };
+    let baseline = lookup_all(&dag);
+    let mut grew = false;
+    for i in 0..1000u32 {
+        let spec: FilterSpec = format!("*, {}/32, UDP, *, *, *", churned(i))
+            .parse()
+            .unwrap();
+        let id = dag.insert(spec, 1_000_000).unwrap();
+        grew |= dag.node_count() > baseline_nodes;
+        dag.remove(id).unwrap();
+        assert_eq!(dag.node_count(), baseline_nodes, "cycle {i}");
+    }
+    assert!(grew, "the churned filter must replicate into the table");
+    assert_eq!(lookup_all(&dag), baseline);
 }

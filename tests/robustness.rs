@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use router_plugins::core::ip_core::{Disposition, DropReason};
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::{run_command, run_script};
-use router_plugins::core::{FaultPolicy, Gate, HealthState, Router, RouterConfig};
+use router_plugins::core::{FaultPolicy, Gate, HealthState, InstanceId, Router, RouterConfig};
 use router_plugins::netsim::topology::{Port, Topology};
 use router_plugins::netsim::traffic::v6_host;
 use router_plugins::packet::builder::PacketSpec;
@@ -293,6 +293,93 @@ fn stalling_instance_exceeds_budget_and_quarantines() {
     assert_eq!(rep.restart_at_ns, None, "restart disabled by policy");
     // Quarantined means off the path: later packets skip the stall.
     assert!(matches!(r.receive(udp(9)), Disposition::Forwarded(1)));
+}
+
+/// Calls made so far by the `null` instance `id` (parsed from its
+/// `describe()` line, "null: <n> calls").
+fn null_calls(r: &Router, id: u32) -> u64 {
+    let text = r
+        .pcu
+        .instance("null", InstanceId(id))
+        .expect("null instance")
+        .describe();
+    text.trim_start_matches("null: ")
+        .trim_end_matches(" calls")
+        .parse()
+        .unwrap_or_else(|_| panic!("unexpected describe line {text:?}"))
+}
+
+/// Faults are charged to the instance that faulted, never to a healthy
+/// instance bound earlier on the same flow. A counting `null` sits at the
+/// firewall gate; `chaos` sits at a later gate (stats, then the egress
+/// scheduling gate) of the same flow, first panicking, then stalling past
+/// the packet budget. Only chaos is charged and quarantined, the null
+/// instance stays healthy and sees every packet, panicking calls drop
+/// their packet as `PluginFault(gate)`, and every packet is accounted
+/// for.
+#[test]
+fn faults_are_charged_to_the_faulting_instance_only() {
+    for (gate_name, gate) in [("stats", Gate::Stats), ("sched", Gate::Scheduling)] {
+        for mode in ["mode=panic every=2", "mode=stall cost=50000"] {
+            let mut r = Router::new(RouterConfig {
+                verify_checksums: false,
+                fault_policy: FaultPolicy {
+                    packet_budget_ns: 10_000,
+                    max_restarts: 0,
+                    ..FaultPolicy::default()
+                },
+                ..RouterConfig::default()
+            });
+            register_builtin_factories(&mut r.loader);
+            r.add_route(v6_host(0), 32, 1);
+            run_script(
+                &mut r,
+                &format!(
+                    "load null
+create null
+bind fw null 0 <*, *, UDP, *, *, *>
+                     load chaos
+create chaos {mode}
+                     bind {gate_name} chaos 0 <*, *, UDP, *, *, *>"
+                ),
+            )
+            .unwrap();
+            let case = format!("chaos {mode} at {gate_name}");
+            let panics = mode.contains("panic");
+            let mut faulted = 0u64;
+            for i in 0..20u64 {
+                // One flow: both instances are bound in the same record.
+                match r.receive(udp(7)) {
+                    Disposition::Forwarded(1) => {}
+                    Disposition::Dropped(DropReason::PluginFault(g)) => {
+                        assert!(panics, "{case}: a stall forwards its packet");
+                        assert_eq!(g, gate, "{case}: fault booked at the chaos gate");
+                        faulted += 1;
+                    }
+                    other => panic!("{case}: packet {i}: unexpected {other:?}"),
+                }
+                assert_eq!(null_calls(&r, 0), i + 1, "{case}: null saw packet {i}");
+            }
+            let s = r.stats();
+            assert_eq!(s.plugin_faults, 3, "{case}: three faults, then quarantine");
+            assert_eq!(s.plugin_quarantines, 1, "{case}");
+            assert_eq!(s.dropped_fault, faulted, "{case}");
+            assert_eq!(faulted, if panics { 3 } else { 0 }, "{case}");
+            assert_eq!(s.received, 20, "{case}");
+            assert_eq!(s.received, s.forwarded + s.dropped_total(), "{case}");
+            let reports = r.health_reports();
+            let report = |plugin: &str| {
+                reports
+                    .iter()
+                    .find(|h| h.plugin == plugin)
+                    .unwrap_or_else(|| panic!("{case}: no {plugin} report"))
+            };
+            assert_eq!(report("chaos").health, HealthState::Quarantined, "{case}");
+            assert_eq!(report("chaos").total_faults, 3, "{case}");
+            assert_eq!(report("null").health, HealthState::Healthy, "{case}");
+            assert_eq!(report("null").total_faults, 0, "{case}");
+        }
+    }
 }
 
 /// Link-level fault injection across a 3-node chain: loss on the first
