@@ -23,7 +23,7 @@
 //!    with link down/loss/corruption faults. Gate: end-to-end
 //!    conservation including the link-fault counters.
 //! 6. **Device chaos** — the full I/O plane (supervised devices under
-//!    [`FaultyDev`] wrappers) soaked with flapping devices and a
+//!    [`FaultyDev`](rp_netdev::FaultyDev) wrappers) soaked with flapping devices and a
 //!    mid-run shard kill. Gates: exact *wire-level* conservation, at
 //!    least one quarantine→reopen cycle, and the hard-error/backpressure
 //!    ledger split visible.
@@ -257,7 +257,7 @@ fn elephants_single(pkts: &[Mbuf]) -> Row {
         balance: None,
         occupancy_max: f.live as u64,
         occupancy_cap: FT_CAP as u64,
-        conserved: s.received == pkts.len() as u64 && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == pkts.len() as u64 && s.ledger_gap() == 0,
         gates_ok: true,
         p99_sojourn_ns,
         detail: String::new(),
@@ -312,7 +312,7 @@ fn elephants_parallel(pkts: &[Mbuf], steer: Option<SteerConfig>) -> Row {
         balance: Some(balance),
         occupancy_max: f.live as u64,
         occupancy_cap: (SHARDS * FT_CAP) as u64,
-        conserved: s.received == pkts.len() as u64 && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == pkts.len() as u64 && s.ledger_gap() == 0,
         gates_ok,
         p99_sojourn_ns,
         detail: format!("shard packets {shard_packets:?}{steer_note}"),
@@ -406,7 +406,7 @@ fn syn_flood<R>(
         balance: None,
         occupancy_max: f.live as u64,
         occupancy_cap: cap,
-        conserved: s.received == offered && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == offered && s.ledger_gap() == 0,
         gates_ok,
         p99_sojourn_ns,
         detail: format!(
@@ -441,7 +441,7 @@ fn frag_flood_single(pkts: &[Mbuf]) -> Row {
         balance: None,
         occupancy_max: f.live as u64,
         occupancy_cap: FT_CAP as u64,
-        conserved: s.received == pkts.len() as u64 && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == pkts.len() as u64 && s.ledger_gap() == 0,
         gates_ok: true,
         p99_sojourn_ns: None,
         detail: String::new(),
@@ -472,7 +472,7 @@ fn frag_flood_parallel(pkts: &[Mbuf]) -> Row {
         balance: None,
         occupancy_max: f.live as u64,
         occupancy_cap: (SHARDS * FT_CAP) as u64,
-        conserved: s.received == pkts.len() as u64 && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == pkts.len() as u64 && s.ledger_gap() == 0,
         gates_ok: true,
         p99_sojourn_ns: None,
         detail: String::new(),
@@ -572,7 +572,7 @@ fn chaos_soak() -> Row {
         balance: None,
         occupancy_max,
         occupancy_cap: (SHARDS * FT_CAP) as u64,
-        conserved: s.received == offered && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == offered && s.ledger_gap() == 0,
         gates_ok,
         p99_sojourn_ns,
         detail: format!("restarts={restarts}, inline_expired={}", f.inline_expired),
@@ -639,8 +639,8 @@ fn link_soak() -> Row {
     // node (counted), or eaten by an injected link fault (counted).
     let conserved = offered
         == delivered + sa.dropped_total() + sb.dropped_total() + topo.lost_to_faults
-        && sa.received == sa.forwarded + sa.dropped_total()
-        && sb.received == sb.forwarded + sb.dropped_total();
+        && sa.ledger_gap() == 0
+        && sb.ledger_gap() == 0;
     Row {
         scenario: "link soak".into(),
         plane: "single topo",

@@ -7,27 +7,19 @@
 //! * **Single-threaded plane** — clone-per-packet ingress (the historical
 //!   testbench loop) vs the pooled driver loop
 //!   ([`Testbench::run_router_pooled`]): ingress buffers from the
-//!   router's [`MbufPool`], transmitted buffers recycled. After warm-up
-//!   the pooled loop must stay off the allocator entirely (the `fresh`
-//!   pool counter is exact) — gated below.
-//! * **Parallel plane** — per-packet dispatch (one channel send per
-//!   packet; the vendored channel costs a lock and a heap node per send)
-//!   vs [`ParallelRouter::receive_batch`] at batch sizes 1/8/64, over
-//!   both shard-ingress transports: the vendored `channel` stub and the
-//!   lock-free SPSC `ring` (batched cursor publication + carrier-batched
-//!   egress). Gated below: channel batch-64 ≥ 1.3× channel batch-1
-//!   (batching amortizes), ring batch-64 ≥ 1.3× the channel-stub
-//!   baseline row (batch-1, the same entry point the historical 2.2×
-//!   win was measured against), and the packet ledger
-//!   `received == forwarded + Σdrops` holds exactly on **every** row.
-//!   The equal-batch ring-vs-channel ratio is recorded in the JSON but
-//!   not gated: on a single-core host both transports pay one
-//!   context switch per shard per batch, so wall clock there measures
-//!   the scheduler, not the transport.
+//!   router's [`MbufPool`](rp_packet::MbufPool), transmitted buffers
+//!   recycled. After warm-up the pooled loop must stay off the allocator
+//!   entirely (the `fresh` pool counter is exact) — gated below.
+//! * **Parallel plane** — per-packet dispatch (one SPSC ring push per
+//!   packet) vs [`ParallelRouter::receive_batch`] at batch sizes 1/8/64
+//!   (one push per shard touched, one egress drain per batch). Gated
+//!   below: batch-64 ≥ 1.3× batch-1 (batching amortizes), and the
+//!   packet ledger (`DataPathStats::ledger_gap() == 0`) holds exactly
+//!   on **every** row.
 //!
 //! Output: text tables on stdout and `BENCH_fastpath.json` (schema:
 //! `bench`, `schema_version`, `workload` metadata, acceptance block, and
-//! `rows` with `plane`, `variant`, `dispatch`, `batch`, `packets`,
+//! `rows` with `plane`, `variant`, `batch`, `packets`,
 //! `wall_ns`, `pps_wall`, `ns_per_packet`, `allocs_per_packet`,
 //! `mbuf_fresh_per_packet`, `mbuf_acquired`, `mbuf_recycled`,
 //! `mbuf_fresh`, `conserved`). Exits non-zero when an acceptance gate
@@ -37,9 +29,7 @@
 
 use router_core::plugins::register_builtin_factories;
 use router_core::pmgr::run_script;
-use router_core::{
-    ControlPlane, DispatchMode, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
-};
+use router_core::{ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig};
 use rp_bench::report::{write_bench_json, Json, Table};
 use rp_netsim::testbench::Testbench;
 use rp_netsim::traffic::{v6_host, Workload};
@@ -55,7 +45,6 @@ const BATCH_SIZES: [usize; 3] = [1, 8, 64];
 
 /// Acceptance gates (CI fails when violated).
 const MIN_BATCH64_SPEEDUP: f64 = 1.3;
-const MIN_RING_VS_CHANNEL: f64 = 1.3;
 const MAX_FRESH_PER_PKT: f64 = 0.01;
 const MAX_ALLOCS_PER_PKT_POOLED: f64 = 0.01;
 
@@ -115,7 +104,7 @@ fn single_router() -> Router {
     r
 }
 
-fn parallel_router(dispatch: DispatchMode) -> ParallelRouter {
+fn parallel_router() -> ParallelRouter {
     let mut template = router_core::loader::PluginLoader::new();
     register_builtin_factories(&mut template);
     let mut pr = ParallelRouter::new(
@@ -123,7 +112,6 @@ fn parallel_router(dispatch: DispatchMode) -> ParallelRouter {
             shards: SHARDS,
             router: router_config(),
             ingress_depth: 1024,
-            dispatch,
             ..ParallelRouterConfig::default()
         },
         &template,
@@ -132,18 +120,10 @@ fn parallel_router(dispatch: DispatchMode) -> ParallelRouter {
     pr
 }
 
-fn dispatch_name(d: DispatchMode) -> &'static str {
-    match d {
-        DispatchMode::Channel => "channel",
-        DispatchMode::Ring => "ring",
-    }
-}
-
 /// One measured result, normalized per packet.
 struct Row {
     plane: &'static str,
     variant: &'static str,
-    dispatch: Option<&'static str>,
     batch: Option<usize>,
     conserved: bool,
     packets: u64,
@@ -177,10 +157,6 @@ impl Row {
         Json::obj(vec![
             ("plane", Json::from(self.plane)),
             ("variant", Json::from(self.variant)),
-            (
-                "dispatch",
-                self.dispatch.map(Json::from).unwrap_or(Json::Null),
-            ),
             ("batch", self.batch.map(Json::from).unwrap_or(Json::Null)),
             ("conserved", Json::from(self.conserved)),
             ("packets", Json::from(self.packets)),
@@ -230,9 +206,8 @@ fn main() {
         rows.push(Row {
             plane: "single",
             variant: "clone",
-            dispatch: None,
             batch: None,
-            conserved: st.received == st.forwarded + st.dropped_total(),
+            conserved: st.ledger_gap() == 0,
             packets: s.packets,
             wall_ns,
             ns_per_packet: s.ns_per_packet(),
@@ -260,9 +235,8 @@ fn main() {
         rows.push(Row {
             plane: "single",
             variant: "pooled",
-            dispatch: None,
             batch: None,
-            conserved: st.received == st.forwarded + st.dropped_total(),
+            conserved: st.ledger_gap() == 0,
             packets: s.packets,
             wall_ns,
             ns_per_packet: s.ns_per_packet(),
@@ -278,8 +252,8 @@ fn main() {
 
     // ---- parallel plane -------------------------------------------
     {
-        // Historical baseline: one channel send per packet.
-        let mut pr = parallel_router(DispatchMode::Channel);
+        // One ring push per packet.
+        let mut pr = parallel_router();
         tb.run_parallel(&mut pr, WARMUP_REPS);
         let a0 = allocs();
         let s = tb.run_parallel(&mut pr, REPS);
@@ -289,9 +263,8 @@ fn main() {
         rows.push(Row {
             plane: "parallel",
             variant: "per-packet",
-            dispatch: Some("channel"),
             batch: None,
-            conserved: st.received == st.forwarded + st.dropped_total(),
+            conserved: st.ledger_gap() == 0,
             packets: s.packets,
             wall_ns: s.wall_ns,
             ns_per_packet: s.ns_per_packet(),
@@ -304,47 +277,43 @@ fn main() {
             sojourn_p99_ns: sojourn(&m, 0.99),
         });
     }
-    for dispatch in [DispatchMode::Channel, DispatchMode::Ring] {
-        for &batch in &BATCH_SIZES {
-            let mut pr = parallel_router(dispatch);
-            tb.run_parallel_batched(&mut pr, WARMUP_REPS, batch);
-            let p0 = pr.pool_stats();
-            let a0 = allocs();
-            let s = tb.run_parallel_batched(&mut pr, REPS, batch);
-            let da = allocs() - a0;
-            let p1 = pr.pool_stats();
-            let m = pr.metrics_snapshot();
-            let st = pr.stats();
-            rows.push(Row {
-                plane: "parallel",
-                variant: "batched",
-                dispatch: Some(dispatch_name(dispatch)),
-                batch: Some(batch),
-                conserved: st.received == st.forwarded + st.dropped_total(),
-                packets: s.packets,
-                wall_ns: s.wall_ns,
-                ns_per_packet: s.ns_per_packet(),
-                allocs_per_packet: da as f64 / s.packets.max(1) as f64,
-                fresh_per_packet: (p1.fresh - p0.fresh) as f64 / s.packets.max(1) as f64,
-                mbuf_acquired: m.mbuf_acquired,
-                mbuf_recycled: m.mbuf_recycled,
-                mbuf_fresh: m.mbuf_fresh,
-                sojourn_p50_ns: sojourn(&m, 0.5),
-                sojourn_p99_ns: sojourn(&m, 0.99),
-            });
-        }
+    for &batch in &BATCH_SIZES {
+        let mut pr = parallel_router();
+        tb.run_parallel_batched(&mut pr, WARMUP_REPS, batch);
+        let p0 = pr.pool_stats();
+        let a0 = allocs();
+        let s = tb.run_parallel_batched(&mut pr, REPS, batch);
+        let da = allocs() - a0;
+        let p1 = pr.pool_stats();
+        let m = pr.metrics_snapshot();
+        let st = pr.stats();
+        rows.push(Row {
+            plane: "parallel",
+            variant: "batched",
+            batch: Some(batch),
+            conserved: st.ledger_gap() == 0,
+            packets: s.packets,
+            wall_ns: s.wall_ns,
+            ns_per_packet: s.ns_per_packet(),
+            allocs_per_packet: da as f64 / s.packets.max(1) as f64,
+            fresh_per_packet: (p1.fresh - p0.fresh) as f64 / s.packets.max(1) as f64,
+            mbuf_acquired: m.mbuf_acquired,
+            mbuf_recycled: m.mbuf_recycled,
+            mbuf_fresh: m.mbuf_fresh,
+            sojourn_p50_ns: sojourn(&m, 0.5),
+            sojourn_p99_ns: sojourn(&m, 0.99),
+        });
     }
 
     // ---- report ---------------------------------------------------
     println!();
     println!("Zero-allocation batched fast path ({FLOWS}-flow UDP/IPv6 workload, {measured} packets/variant)");
-    println!("(allocs/pkt counts every heap allocation during the measured phase — channel");
-    println!("nodes, carrier growth, everything — not just mbuf buffers)");
+    println!("(allocs/pkt counts every heap allocation during the measured phase — control");
+    println!("replies, carrier growth, everything — not just mbuf buffers)");
     println!();
     let mut t = Table::new(&[
         "Plane",
         "Variant",
-        "Dispatch",
         "Batch",
         "pkt/s (wall)",
         "µs/pkt (CPU)",
@@ -356,7 +325,6 @@ fn main() {
         t.row(&[
             r.plane.into(),
             r.variant.into(),
-            r.dispatch.unwrap_or("—").into(),
             r.batch.map(|b| b.to_string()).unwrap_or_else(|| "—".into()),
             format!("{:.0}", r.pps_wall()),
             format!("{:.2}", r.ns_per_packet / 1000.0),
@@ -372,29 +340,16 @@ fn main() {
     t.print();
 
     // ---- acceptance -----------------------------------------------
-    let find = |variant: &str, dispatch: Option<&str>, batch: Option<usize>| {
+    let find = |variant: &str, batch: Option<usize>| {
         rows.iter()
-            .find(|r| r.variant == variant && r.dispatch == dispatch && r.batch == batch)
+            .find(|r| r.variant == variant && r.batch == batch)
             .expect("variant measured")
     };
-    let batch1 = find("batched", Some("channel"), Some(1));
-    let batch64 = find("batched", Some("channel"), Some(64));
-    let ring64 = find("batched", Some("ring"), Some(64));
-    let pooled = find("pooled", None, None);
+    let batch1 = find("batched", Some(1));
+    let batch64 = find("batched", Some(64));
+    let pooled = find("pooled", None);
     let speedup = if batch1.pps_wall() > 0.0 {
         batch64.pps_wall() / batch1.pps_wall()
-    } else {
-        0.0
-    };
-    let ring_speedup = if batch1.pps_wall() > 0.0 {
-        ring64.pps_wall() / batch1.pps_wall()
-    } else {
-        0.0
-    };
-    // Informational only (see module docs): transport-vs-transport at
-    // equal batch size — meaningful with real hardware parallelism.
-    let ring_vs_channel64 = if batch64.pps_wall() > 0.0 {
-        ring64.pps_wall() / batch64.pps_wall()
     } else {
         0.0
     };
@@ -405,18 +360,11 @@ fn main() {
             "batch-64 wall throughput {speedup:.2}× batch-1 (floor {MIN_BATCH64_SPEEDUP}×)"
         ));
     }
-    if ring_speedup < MIN_RING_VS_CHANNEL {
-        failures.push(format!(
-            "ring batch-64 wall throughput {ring_speedup:.2}× channel-stub baseline \
-             (floor {MIN_RING_VS_CHANNEL}×)"
-        ));
-    }
     for r in rows.iter().filter(|r| !r.conserved) {
         failures.push(format!(
-            "packet ledger violated on {}/{}{}{}",
+            "packet ledger violated on {}/{}{}",
             r.plane,
             r.variant,
-            r.dispatch.map(|d| format!("/{d}")).unwrap_or_default(),
             r.batch.map(|b| format!("/batch-{b}")).unwrap_or_default(),
         ));
     }
@@ -432,20 +380,16 @@ fn main() {
             pooled.allocs_per_packet
         ));
     }
-    for (name, row) in [("channel", batch64), ("ring", ring64)] {
-        if row.fresh_per_packet >= MAX_FRESH_PER_PKT {
-            failures.push(format!(
-                "parallel {name} batch-64: {:.4} fresh mbufs/pkt (ceiling {MAX_FRESH_PER_PKT})",
-                row.fresh_per_packet
-            ));
-        }
+    if batch64.fresh_per_packet >= MAX_FRESH_PER_PKT {
+        failures.push(format!(
+            "parallel batch-64: {:.4} fresh mbufs/pkt (ceiling {MAX_FRESH_PER_PKT})",
+            batch64.fresh_per_packet
+        ));
     }
 
     println!();
     println!(
-        "channel batch-64 vs batch-1 speedup: {speedup:.2}× (floor {MIN_BATCH64_SPEEDUP}×); \
-         ring batch-64 vs channel baseline: {ring_speedup:.2}× (floor {MIN_RING_VS_CHANNEL}×); \
-         ring vs channel at batch-64: {ring_vs_channel64:.2}× (informational); \
+        "batch-64 vs batch-1 speedup: {speedup:.2}× (floor {MIN_BATCH64_SPEEDUP}×); \
          pooled single plane: {:.4} allocs/pkt, {:.4} fresh mbufs/pkt",
         pooled.allocs_per_packet, pooled.fresh_per_packet
     );
@@ -466,12 +410,6 @@ fn main() {
             Json::obj(vec![
                 ("batch64_speedup_vs_batch1", Json::from(speedup)),
                 ("min_batch64_speedup", Json::from(MIN_BATCH64_SPEEDUP)),
-                (
-                    "ring_batch64_speedup_vs_channel_baseline",
-                    Json::from(ring_speedup),
-                ),
-                ("min_ring_vs_channel", Json::from(MIN_RING_VS_CHANNEL)),
-                ("ring_vs_channel_at_batch64", Json::from(ring_vs_channel64)),
                 (
                     "all_rows_conserved",
                     Json::from(rows.iter().all(|r| r.conserved)),

@@ -12,8 +12,8 @@
 //!   cache-layout work is what buys this).
 //! * **Bounded memory** — the flow table's resident bytes stay under a
 //!   fixed per-flow budget plus slack; growth is linear, not quadratic.
-//! * **Exact conservation** — `received == forwarded + Σdrops` on every
-//!   row; nothing is lost across resizes, evictions, or cache fills.
+//! * **Exact conservation** — `DataPathStats::ledger_gap() == 0` on
+//!   every row; nothing is lost across resizes, evictions, or cache fills.
 //! * **The machinery actually engaged** — rows larger than the initial
 //!   bucket array must show `flow_resize_steps > 0`, and the FIB cache
 //!   must be absorbing at least half the route lookups.
@@ -234,7 +234,7 @@ fn finish_row(st: &RowState) -> Row {
         resize_steps: f.resize_steps,
         evicted_lru: f.evicted_lru,
         fib_hit_rate,
-        conserved: s.received == offered && s.received == s.forwarded + s.dropped_total(),
+        conserved: s.received == offered && s.ledger_gap() == 0,
         resize_ok: flows <= INITIAL_BUCKETS || f.resize_steps > 0,
         mem_ok: mem_bytes <= flows * MEM_PER_FLOW + MEM_SLACK,
         wall_ns: st.wall_ns,

@@ -20,7 +20,7 @@
 //! * **Incremental resize.** When the live-record count outgrows the
 //!   bucket array, the table doubles it *incrementally*: the old array
 //!   stays live while a bounded number of its buckets are migrated per
-//!   `lookup`/`insert` ([`MIGRATE_BUCKETS_PER_OP`]), so there is never a
+//!   `lookup`/`insert` (`MIGRATE_BUCKETS_PER_OP`), so there is never a
 //!   stop-the-world rehash on the data path. During a migration a lookup
 //!   probes the new chain first and falls back to the old one; each
 //!   record lives in exactly one chain at all times.

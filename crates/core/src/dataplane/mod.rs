@@ -20,10 +20,10 @@
 //! filter ids stay in lockstep and an operator-visible id means the same
 //! logical object everywhere.
 //!
-//! Egress is re-serialized: shards push transmitted packets onto one
-//! shared collector channel and the dispatcher buckets them per output
-//! interface. Since a flow is pinned to one shard and each shard emits in
-//! processing order, per-flow order on the wire matches the
+//! Egress is re-serialized: shards push carriers of transmitted packets
+//! onto one shared collector channel and the dispatcher buckets them per
+//! output interface. Since a flow is pinned to one shard and each shard
+//! emits in processing order, per-flow order on the wire matches the
 //! single-threaded router exactly.
 //!
 //! # Shard supervision
@@ -32,7 +32,7 @@
 //! tier supplies its symptoms and its recovery action:
 //!
 //! * **Symptoms → faults** — the shard loop runs under `catch_unwind`
-//!   ([`shard::run_shard`]), so a panic escaping a control closure kills
+//!   (`shard::run_shard`), so a panic escaping a control closure kills
 //!   only that shard, and the dispatcher counts the dead worker as a
 //!   fault. Each worker also writes a heartbeat (busy flag + timestamp);
 //!   the watchdog counts a worker stuck inside one message longer than
@@ -77,13 +77,12 @@ use crate::plugin::{InstanceId, PluginError};
 use crate::router::{Router, RouterConfig};
 use crate::supervisor::HealthReport;
 use control::{merge_replies, merge_unit, ShardAnswer};
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam_channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::{FlowTuple, Mbuf, MbufPool, PoolStats};
-use shard::{
-    run_shard, ControlFn, EgressSink, ShardFinal, ShardReceiver, ShardSender, ShardShared,
-};
+use rp_ring::PushError;
+use shard::{run_shard, ControlFn, EgressSink, ShardFinal, ShardSender, ShardShared};
 use std::net::IpAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -107,20 +106,6 @@ const WATCHDOG_STRIDE: u64 = 64;
 /// detection latency is dominated by `stall_timeout`, not the slice.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
 
-/// How packets travel from the dispatcher to the shard workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// The vendored channel stub (a mutex+condvar queue over
-    /// `std::sync::mpsc`). Kept as the bench baseline and a fallback;
-    /// retired from the default hot path.
-    Channel,
-    /// Lock-free SPSC rings (`rp_ring`): one ring per shard with a
-    /// doorbell for idle parking, plus batched egress carriers — no lock
-    /// and no syscall on the steady-state packet path.
-    #[default]
-    Ring,
-}
-
 /// Configuration for a [`ParallelRouter`].
 #[derive(Debug, Clone)]
 pub struct ParallelRouterConfig {
@@ -131,7 +116,8 @@ pub struct ParallelRouterConfig {
     /// shard restarts (`max_restarts` and the backoff ramp), with the
     /// backoff nanoseconds read as wall-clock time at the shard level.
     pub router: RouterConfig,
-    /// Depth of each shard's ingress FIFO.
+    /// Depth of each shard's ingress FIFO: a lock-free SPSC ring
+    /// (`rp_ring`) with a doorbell for idle parking.
     pub ingress_depth: usize,
     /// How long one message may keep a worker continuously busy before
     /// the watchdog classifies the shard as stalled and abandons it.
@@ -147,9 +133,6 @@ pub struct ParallelRouterConfig {
     /// shard is hot onto a less-loaded alternate. Per-flow affinity (and
     /// therefore per-flow order) is preserved either way.
     pub steer: Option<SteerConfig>,
-    /// Dispatcher→shard transport (see [`DispatchMode`]); the overload,
-    /// watchdog, and conservation semantics are identical in both modes.
-    pub dispatch: DispatchMode,
 }
 
 impl Default for ParallelRouterConfig {
@@ -161,7 +144,6 @@ impl Default for ParallelRouterConfig {
             stall_timeout: Duration::from_millis(500),
             overload_wait: Duration::from_millis(2),
             steer: None,
-            dispatch: DispatchMode::default(),
         }
     }
 }
@@ -221,14 +203,12 @@ pub struct ParallelRouter {
     /// Heartbeat timestamps are relative to this.
     epoch: Instant,
     interfaces: usize,
-    /// Kept so `egress_rx` never disconnects while shards are live (the
-    /// shards hold clones); also the source for rebuilt shards' senders.
-    egress_tx: Sender<(IfIndex, Mbuf)>,
-    egress_rx: Receiver<(IfIndex, Mbuf)>,
-    /// Ring-mode egress: shards send whole carrier `Vec`s of transmitted
-    /// packets (one channel operation per egress drain instead of one
-    /// per packet) and the dispatcher returns the emptied carriers on
-    /// the scrap side, so the steady state allocates nothing.
+    /// Egress collector: shards send whole carrier `Vec`s of transmitted
+    /// packets (one channel operation per egress drain, not per packet)
+    /// and the dispatcher returns the emptied carriers on the scrap
+    /// side, so the steady state allocates nothing. The dispatcher keeps
+    /// `egress_batch_tx` so the collector never disconnects while shards
+    /// are live; rebuilt shards clone it.
     egress_batch_tx: Sender<Vec<(IfIndex, Mbuf)>>,
     egress_batch_rx: Receiver<Vec<(IfIndex, Mbuf)>>,
     egress_scrap_tx: Sender<Vec<(IfIndex, Mbuf)>>,
@@ -280,7 +260,6 @@ impl ParallelRouter {
     /// moved onto its worker thread.
     pub fn new(cfg: ParallelRouterConfig, template: &PluginLoader) -> Self {
         let shards = cfg.shards.max(1);
-        let (egress_tx, egress_rx) = unbounded();
         let (egress_batch_tx, egress_batch_rx) = unbounded();
         let (egress_scrap_tx, egress_scrap_rx) = unbounded();
         let (scrap_tx, scrap_rx) = unbounded();
@@ -293,8 +272,6 @@ impl ParallelRouter {
             journal: CommandJournal::default(),
             epoch,
             interfaces,
-            egress_tx,
-            egress_rx,
             egress_batch_tx,
             egress_batch_rx,
             egress_scrap_tx,
@@ -352,30 +329,11 @@ impl ParallelRouter {
             packets: 0,
             cpu_clock_errors: 0,
         };
-        let (tx, rx, egress) = match self.cfg.dispatch {
-            DispatchMode::Channel => {
-                let (tx, rx) = bounded(self.cfg.ingress_depth.max(1));
-                (
-                    ShardSender::Channel(tx),
-                    ShardReceiver::Channel(rx),
-                    EgressSink::PerPacket(self.egress_tx.clone()),
-                )
-            }
-            DispatchMode::Ring => {
-                let (p, c) = rp_ring::spsc(self.cfg.ingress_depth.max(1));
-                (
-                    ShardSender::Ring(std::sync::Mutex::new(p)),
-                    ShardReceiver::Ring {
-                        rx: c,
-                        pending: std::collections::VecDeque::new(),
-                    },
-                    EgressSink::Batched {
-                        tx: self.egress_batch_tx.clone(),
-                        scrap: self.egress_scrap_rx.clone(),
-                        scratch: Vec::new(),
-                    },
-                )
-            }
+        let (tx, rx) = shard::ingress(self.cfg.ingress_depth);
+        let egress = EgressSink {
+            tx: self.egress_batch_tx.clone(),
+            scrap: self.egress_scrap_rx.clone(),
+            scratch: Vec::new(),
         };
         let shared = Arc::new(ShardShared::new(self.epoch));
         let scrap = self.scrap_tx.clone();
@@ -440,8 +398,7 @@ impl ParallelRouter {
     }
 
     /// Current ingress-FIFO occupancy of every shard, as seen from the
-    /// dispatcher (ring mode reads the SPSC cursors; channel mode has no
-    /// length and reads 0).
+    /// dispatcher (read from the SPSC cursors).
     pub fn shard_depths(&self) -> Vec<usize> {
         self.slots.iter().map(|s| s.tx.depth()).collect()
     }
@@ -541,11 +498,13 @@ impl ParallelRouter {
     fn abandon(&mut self, shard: usize, why: String) {
         self.retire(shard);
         // Replacing (and dropping) our sender disconnects the worker's
-        // recv — in ring mode the producer's drop also rings the doorbell
-        // — so an *idle* abandoned worker exits immediately; a wedged
-        // one exits when whatever wedged it returns.
-        let dead_tx = ShardSender::dead(self.cfg.dispatch == DispatchMode::Ring);
-        drop(std::mem::replace(&mut self.slots[shard].tx, dead_tx));
+        // recv — the producer's drop also rings the doorbell — so an
+        // *idle* abandoned worker exits immediately; a wedged one exits
+        // when whatever wedged it returns.
+        drop(std::mem::replace(
+            &mut self.slots[shard].tx,
+            ShardSender::dead(),
+        ));
         self.slots[shard].sent = 0;
         self.note_fault(shard, why);
     }
@@ -667,7 +626,7 @@ impl ParallelRouter {
 
     /// Dispatch a whole batch of ingress packets, grouping them by their
     /// flows' shards and sending **one** [`ShardMsg::Batch`] per shard
-    /// touched — the channel send (and, on the worker side, the egress
+    /// touched — the ring push (and, on the worker side, the egress
     /// drain) is amortized over the batch while per-flow order is
     /// untouched (grouping is a stable partition and a flow maps to
     /// exactly one shard). Overload and health semantics per shard group
@@ -752,7 +711,7 @@ impl ParallelRouter {
                     self.slots[s].sent += n;
                     return true;
                 }
-                Err(TrySendError::Full(m)) => {
+                Err(PushError::Full(m)) => {
                     msg = m;
                     let now = Instant::now();
                     let dl = *deadline.get_or_insert(now + self.cfg.overload_wait);
@@ -766,7 +725,7 @@ impl ParallelRouter {
                         std::thread::yield_now();
                     }
                 }
-                Err(TrySendError::Disconnected(m)) => {
+                Err(PushError::Disconnected(m)) => {
                     msg = m;
                     self.check_shard(s);
                     break DropReason::ShardDown;
@@ -788,7 +747,8 @@ impl ParallelRouter {
         self.spare_batches.extend(self.scrap_rx.try_iter());
     }
 
-    /// A carrier `Vec` for the next [`receive_batch`] — recycled from a
+    /// A carrier `Vec` for the next
+    /// [`receive_batch`](ParallelRouter::receive_batch) — recycled from a
     /// previously dispatched batch when one has come back, fresh
     /// otherwise.
     pub fn batch_carrier(&mut self) -> Vec<Mbuf> {
@@ -833,7 +793,7 @@ impl ParallelRouter {
             }
             match self.slots[shard].tx.try_send(msg) {
                 Ok(()) => return true,
-                Err(TrySendError::Full(m)) => {
+                Err(PushError::Full(m)) => {
                     if Instant::now() >= deadline {
                         return false;
                     }
@@ -841,7 +801,7 @@ impl ParallelRouter {
                     msg = m;
                     std::thread::sleep(Duration::from_micros(100));
                 }
-                Err(TrySendError::Disconnected(_)) => {
+                Err(PushError::Disconnected(_)) => {
                     self.check_shard(shard);
                     return false;
                 }
@@ -881,15 +841,9 @@ impl ParallelRouter {
     }
 
     /// Move everything on the shared egress collector into the
-    /// per-interface buckets. Ring-mode carriers are drained whole and
-    /// handed back to the shards for reuse.
+    /// per-interface buckets. Carriers are drained whole and handed back
+    /// to the shards for reuse.
     fn drain_egress(&mut self) {
-        for (iface, pkt) in self.egress_rx.try_iter() {
-            let i = iface as usize;
-            if i < self.pending.len() {
-                self.pending[i].push(pkt);
-            }
-        }
         while let Ok(mut carrier) = self.egress_batch_rx.try_recv() {
             for (iface, pkt) in carrier.drain(..) {
                 let i = iface as usize;
@@ -931,9 +885,9 @@ impl ParallelRouter {
 
     /// Account `n` frames a device's receive side dropped before they
     /// became IP packets. Counted dispatcher-side exactly like an
-    /// overload shed ([`shed_n`](ParallelRouter::shed_n)): received and
-    /// dropped in the same breath, so the merged
-    /// `received == forwarded + Σdrops` invariant extends to the wire.
+    /// overload shed (`shed_n`): received and dropped in the same
+    /// breath, so the merged `received == forwarded + Σdrops` invariant
+    /// extends to the wire.
     pub fn note_device_rx_drops(&mut self, n: u64) {
         self.local_stats.received += n;
         self.local_stats.dropped_device_rx += n;
@@ -1138,10 +1092,8 @@ impl Drop for ParallelRouter {
             slot.shared.mark_abandoned();
         }
         let mut joins: Vec<JoinHandle<ShardFinal>> = Vec::new();
-        let ring = self.cfg.dispatch == DispatchMode::Ring;
         for slot in &mut self.slots {
-            let dead_tx = ShardSender::dead(ring);
-            drop(std::mem::replace(&mut slot.tx, dead_tx));
+            drop(std::mem::replace(&mut slot.tx, ShardSender::dead()));
             if let Some(j) = slot.join.take() {
                 joins.push(j);
             }

@@ -11,14 +11,14 @@
 //! (a panic escaping a control closure kills the *shard*, not the
 //! process), writes a heartbeat the dispatcher's watchdog reads, and —
 //! on any exit path, including abandonment after a stall — returns a
-//! final [`ShardFinal`] accounting report so no counter is silently
+//! final `ShardFinal` accounting report so no counter is silently
 //! lost with the thread.
 
 use crate::ip_core::{DataPathStats, Disposition};
 use crate::obs::{MetricsSnapshot, TraceCategory};
 use crate::router::Router;
 use crate::supervisor::run_isolated;
-use crossbeam_channel::{Receiver, Sender, TrySendError};
+use crossbeam_channel::{Receiver, Sender};
 use rp_classifier::flow_table::FlowTableStats;
 use rp_packet::mbuf::IfIndex;
 use rp_packet::Mbuf;
@@ -57,8 +57,8 @@ pub struct ShardCtx {
 pub enum ShardMsg {
     /// One packet to run through the data path.
     Packet(Mbuf),
-    /// Several packets of this shard's flows, dispatched in one channel
-    /// send. Processed front-to-back, so per-flow order is identical to
+    /// Several packets of this shard's flows, dispatched in one ring
+    /// push. Processed front-to-back, so per-flow order is identical to
     /// the equivalent sequence of `Packet` messages; the emptied carrier
     /// `Vec` is returned to the dispatcher on the scrap channel for
     /// reuse.
@@ -73,12 +73,12 @@ pub enum ShardMsg {
     Shutdown,
 }
 
-/// Messages the ring-mode consumer pulls into its local run per cursor
+/// Messages the shard's consumer pulls into its local run per cursor
 /// publication: bounds the latency of the abandoned-flag check while
 /// amortizing the release-store over a run of messages.
 const RECV_RUN: usize = 64;
 
-/// Ring-mode consumer wait tuning (see [`rp_ring::Consumer::wait_nonempty`]):
+/// Consumer wait tuning (see [`rp_ring::Consumer::wait_nonempty`]):
 /// spin briefly for back-to-back batches, yield a few times as a cheap
 /// off-ramp, then park on the doorbell. The park timeout bounds how long
 /// an abandoned-but-not-disconnected worker waits before rechecking its
@@ -106,157 +106,116 @@ fn recv_wait_profile() -> (u32, u32) {
     })
 }
 
-/// The dispatcher's sending half of one shard's ingress FIFO: the
-/// vendored channel stub ([`DispatchMode::Channel`]) or an SPSC ring
-/// ([`DispatchMode::Ring`]). Both expose channel-style `try_send`
-/// semantics, so the dispatcher's overload/health machinery is mode-blind.
+/// The dispatcher's sending half of one shard's ingress FIFO: an SPSC
+/// ring producer.
 ///
-/// The ring producer sits behind a `Mutex` because read-only control
-/// fan-outs send from `&self` ([`ParallelRouter::read_all`]); the
+/// The producer sits behind a `Mutex` because read-only control
+/// fan-outs send from `&self` (`ParallelRouter::read_all`); the
 /// dispatcher is the only thread that ever locks it, so the lock is
 /// always uncontended — a compare-exchange pair, not a contention point.
-///
-/// [`DispatchMode::Channel`]: super::DispatchMode::Channel
-/// [`DispatchMode::Ring`]: super::DispatchMode::Ring
-/// [`ParallelRouter::read_all`]: super::ParallelRouter
-pub(crate) enum ShardSender {
-    Channel(Sender<ShardMsg>),
-    Ring(Mutex<rp_ring::Producer<ShardMsg>>),
-}
+pub(crate) struct ShardSender(Mutex<rp_ring::Producer<ShardMsg>>);
 
 impl ShardSender {
-    pub(crate) fn try_send(&self, msg: ShardMsg) -> Result<(), TrySendError<ShardMsg>> {
-        match self {
-            ShardSender::Channel(tx) => tx.try_send(msg),
-            ShardSender::Ring(p) => {
-                let mut p = p.lock().unwrap_or_else(|e| e.into_inner());
-                p.try_push(msg).map_err(|e| match e {
-                    rp_ring::PushError::Full(m) => TrySendError::Full(m),
-                    rp_ring::PushError::Disconnected(m) => TrySendError::Disconnected(m),
-                })
-            }
-        }
+    fn producer(&self) -> std::sync::MutexGuard<'_, rp_ring::Producer<ShardMsg>> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub(crate) fn try_send(&self, msg: ShardMsg) -> Result<(), rp_ring::PushError<ShardMsg>> {
+        self.producer().try_push(msg)
     }
 
     /// Messages currently queued toward the shard (occupancy of the
-    /// ingress FIFO as seen from the producer end). Ring mode reads the
-    /// SPSC cursors ([`rp_ring::Producer::occupancy`]); the vendored
-    /// channel stub exposes no length, so channel mode reports 0 — depth
-    /// steering is a ring-mode feature, and a 0 reading degrades to the
-    /// existing dispatch-window behaviour.
+    /// ingress ring as seen from the producer end).
     pub(crate) fn depth(&self) -> usize {
-        match self {
-            ShardSender::Channel(_) => 0,
-            ShardSender::Ring(p) => p.lock().unwrap_or_else(|e| e.into_inner()).occupancy(),
-        }
+        self.producer().occupancy()
     }
 
-    /// A sender whose peer is already gone, in the same mode: replacing a
-    /// slot's sender with this disconnects the worker's receive loop
-    /// (the abandonment path).
-    pub(crate) fn dead(ring: bool) -> ShardSender {
-        if ring {
-            let (p, _) = rp_ring::spsc(1);
-            ShardSender::Ring(Mutex::new(p))
-        } else {
-            let (tx, _) = crossbeam_channel::bounded(1);
-            ShardSender::Channel(tx)
-        }
+    /// A sender whose peer is already gone: replacing a slot's sender
+    /// with this disconnects the worker's receive loop (the abandonment
+    /// path).
+    pub(crate) fn dead() -> ShardSender {
+        ShardSender(Mutex::new(rp_ring::spsc(1).0))
     }
 }
 
-/// The worker's receiving half, paired with [`ShardSender`]. Ring mode
-/// drains the ring in runs of [`RECV_RUN`] into a local deque (one
-/// consumer-cursor release-store per run) and waits with
-/// spin→yield→doorbell-park adaptivity.
-pub(crate) enum ShardReceiver {
-    Channel(Receiver<ShardMsg>),
-    Ring {
-        rx: rp_ring::Consumer<ShardMsg>,
-        pending: VecDeque<ShardMsg>,
-    },
+/// The worker's receiving half, paired with [`ShardSender`]. Drains the
+/// ring in runs of [`RECV_RUN`] into a local deque (one consumer-cursor
+/// release-store per run) and waits with spin→yield→doorbell-park
+/// adaptivity.
+pub(crate) struct ShardReceiver {
+    rx: rp_ring::Consumer<ShardMsg>,
+    pending: VecDeque<ShardMsg>,
+}
+
+/// One shard's ingress FIFO of `depth` messages.
+pub(crate) fn ingress(depth: usize) -> (ShardSender, ShardReceiver) {
+    let (p, c) = rp_ring::spsc(depth.max(1));
+    let rx = ShardReceiver {
+        rx: c,
+        pending: VecDeque::new(),
+    };
+    (ShardSender(Mutex::new(p)), rx)
 }
 
 impl ShardReceiver {
-    /// Next message, blocking until one arrives or the FIFO disconnects
-    /// (`None`). Ring mode also returns `None` once `shared` is flagged
-    /// abandoned — messages left in the ring or the local run are
-    /// accounted by the dispatcher's sent/processed gap, exactly like
-    /// messages stranded in a dead channel.
+    /// Next message, blocking until one arrives, the ring disconnects,
+    /// or `shared` is flagged abandoned (`None`). Messages left in the
+    /// ring or the local run are accounted by the dispatcher's
+    /// sent/processed gap.
     fn recv(&mut self, shared: &ShardShared) -> Option<ShardMsg> {
-        match self {
-            ShardReceiver::Channel(rx) => rx.recv().ok(),
-            ShardReceiver::Ring { rx, pending } => loop {
-                if let Some(m) = pending.pop_front() {
-                    return Some(m);
-                }
-                if rx.pop_batch(RECV_RUN, &mut |m| pending.push_back(m)) > 0 {
-                    continue;
-                }
-                if shared.is_abandoned() {
-                    return None;
-                }
-                let (spins, yields) = recv_wait_profile();
-                match rx.wait_nonempty(spins, yields, RECV_PARK) {
-                    rp_ring::WaitOutcome::Disconnected => return None,
-                    rp_ring::WaitOutcome::Ready | rp_ring::WaitOutcome::TimedOut => {}
-                }
-            },
+        let ShardReceiver { rx, pending } = self;
+        loop {
+            if let Some(m) = pending.pop_front() {
+                return Some(m);
+            }
+            if rx.pop_batch(RECV_RUN, &mut |m| pending.push_back(m)) > 0 {
+                continue;
+            }
+            if shared.is_abandoned() {
+                return None;
+            }
+            let (spins, yields) = recv_wait_profile();
+            match rx.wait_nonempty(spins, yields, RECV_PARK) {
+                rp_ring::WaitOutcome::Disconnected => return None,
+                rp_ring::WaitOutcome::Ready | rp_ring::WaitOutcome::TimedOut => {}
+            }
         }
     }
 }
 
-/// Where a shard pushes transmitted packets. Channel mode sends each
-/// `(iface, packet)` on the shared collector — simple, but one channel
-/// operation (and one dispatcher-side mutex acquisition) per packet.
-/// Ring mode batches: one carrier `Vec` per egress drain, sent in one
-/// operation and drained by the dispatcher under one lock; emptied
-/// carriers come back on a scrap channel so the steady state allocates
-/// nothing.
-pub(crate) enum EgressSink {
-    PerPacket(Sender<(IfIndex, Mbuf)>),
-    Batched {
-        tx: Sender<Vec<(IfIndex, Mbuf)>>,
-        /// Emptied carriers returned by the dispatcher; shared by all
-        /// shards (one `try_recv` per drain, not per packet).
-        scrap: Receiver<Vec<(IfIndex, Mbuf)>>,
-        /// Per-interface staging reused across drains.
-        scratch: Vec<Mbuf>,
-    },
+/// Where a shard pushes transmitted packets: one carrier `Vec` per
+/// egress drain, sent in one operation and drained by the dispatcher
+/// under one lock; emptied carriers come back on a scrap channel so the
+/// steady state allocates nothing.
+pub(crate) struct EgressSink {
+    pub(crate) tx: Sender<Vec<(IfIndex, Mbuf)>>,
+    /// Emptied carriers returned by the dispatcher; shared by all
+    /// shards (one `try_recv` per drain, not per packet).
+    pub(crate) scrap: Receiver<Vec<(IfIndex, Mbuf)>>,
+    /// Per-interface staging reused across drains.
+    pub(crate) scratch: Vec<Mbuf>,
 }
 
 impl EgressSink {
     /// Push everything the shard's router transmitted onto the collector.
     /// Packets of one flow always leave the same shard in processing
     /// order, and a carrier preserves its fill order, so per-flow order
-    /// on the collector is the router's emission order in both modes.
+    /// on the collector is the router's emission order.
     fn drain(&mut self, router: &mut Router) {
-        match self {
-            EgressSink::PerPacket(tx) => {
-                for i in 0..router.interface_count() {
-                    let ifx = i as IfIndex;
-                    for pkt in router.take_tx(ifx) {
-                        // A dropped collector means the dispatcher is
-                        // gone; the shard is about to shut down anyway.
-                        let _ = tx.send((ifx, pkt));
-                    }
-                }
+        let mut carrier: Option<Vec<(IfIndex, Mbuf)>> = None;
+        for i in 0..router.interface_count() {
+            let ifx = i as IfIndex;
+            router.take_tx_into(ifx, &mut self.scratch);
+            if self.scratch.is_empty() {
+                continue;
             }
-            EgressSink::Batched { tx, scrap, scratch } => {
-                let mut carrier: Option<Vec<(IfIndex, Mbuf)>> = None;
-                for i in 0..router.interface_count() {
-                    let ifx = i as IfIndex;
-                    router.take_tx_into(ifx, scratch);
-                    if scratch.is_empty() {
-                        continue;
-                    }
-                    let c = carrier.get_or_insert_with(|| scrap.try_recv().unwrap_or_default());
-                    c.extend(scratch.drain(..).map(|p| (ifx, p)));
-                }
-                if let Some(c) = carrier {
-                    let _ = tx.send(c);
-                }
-            }
+            let c = carrier.get_or_insert_with(|| self.scrap.try_recv().unwrap_or_default());
+            c.extend(self.scratch.drain(..).map(|p| (ifx, p)));
+        }
+        if let Some(c) = carrier {
+            // A dropped collector means the dispatcher is gone; the
+            // shard is about to shut down anyway.
+            let _ = self.tx.send(c);
         }
     }
 }
@@ -440,8 +399,8 @@ fn shard_loop(
         }
         // While blocked here the heartbeat shows idle, which is never a
         // stall; abandonment unblocks it because the dispatcher drops the
-        // old sender when it replaces the shard (and, in ring mode, the
-        // bounded doorbell park re-checks the abandoned flag).
+        // old sender when it replaces the shard (and the bounded
+        // doorbell park re-checks the abandoned flag).
         let Some(msg) = rx.recv(shared) else { return };
         shared.beat(true);
         if shared.is_abandoned() {

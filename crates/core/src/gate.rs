@@ -4,7 +4,7 @@
 //! In the paper a gate is a macro that either reads the plugin-instance
 //! pointer out of the flow record addressed by the packet's FIX (the fast
 //! path) or calls the AIU (first gate / uncached flow). Here the same
-//! logic lives in [`crate::router::Router::at_gate`]; this module defines
+//! logic lives in `Router::at_gate`; this module defines
 //! the gate identifiers and ordering.
 
 use std::fmt;

@@ -104,6 +104,11 @@ pub struct DataPathStats {
     pub plugin_calls: u64,
     /// Packets fragmented at egress.
     pub fragmented: u64,
+    /// Extra frames egress fragmentation created: a datagram split into
+    /// N fragments adds N−1. Each fragment is then counted `forwarded`
+    /// or dropped on its own, so this is the term that balances the
+    /// ledger ([`ledger_gap`](DataPathStats::ledger_gap)).
+    pub fragment_extra_frames: u64,
     /// Too-big drops (DF set or IPv6 over-MTU).
     pub dropped_too_big: u64,
     /// Plugin faults observed by the supervisor (panics and packet-budget
@@ -152,6 +157,7 @@ impl DataPathStats {
         self.dropped_queue += other.dropped_queue;
         self.plugin_calls += other.plugin_calls;
         self.fragmented += other.fragmented;
+        self.fragment_extra_frames += other.fragment_extra_frames;
         self.dropped_too_big += other.dropped_too_big;
         self.plugin_faults += other.plugin_faults;
         self.dropped_fault += other.dropped_fault;
@@ -163,6 +169,16 @@ impl DataPathStats {
         self.dropped_deadline += other.dropped_deadline;
         self.plugin_quarantines += other.plugin_quarantines;
         self.plugin_restarts += other.plugin_restarts;
+    }
+
+    /// Packets unaccounted for: every received packet, plus every extra
+    /// frame fragmentation created, must be forwarded or dropped, so
+    /// `received + fragment_extra_frames − forwarded − Σdrops` is 0 on a
+    /// quiescent router. Positive means packets are missing (or still in
+    /// flight); negative means some were counted twice.
+    pub fn ledger_gap(&self) -> i64 {
+        (self.received + self.fragment_extra_frames) as i64
+            - (self.forwarded + self.dropped_total()) as i64
     }
 
     /// Total drops across every reason counter.

@@ -57,8 +57,7 @@ pub mod router;
 pub mod supervisor;
 
 pub use dataplane::{
-    CommandJournal, ControlPlane, DispatchMode, JournaledCmd, ParallelRouter, ParallelRouterConfig,
-    ShardStatus,
+    CommandJournal, ControlPlane, JournaledCmd, ParallelRouter, ParallelRouterConfig, ShardStatus,
 };
 pub use gate::Gate;
 pub use message::{PluginMsg, PluginReply};

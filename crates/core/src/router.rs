@@ -768,6 +768,7 @@ impl Router {
                 }
             };
             self.stats.fragmented += 1;
+            self.stats.fragment_extra_frames += frags.len().saturating_sub(1) as u64;
             let rx = mbuf.rx_if;
             let fix = mbuf.fix;
             let denied = mbuf.class_denied;

@@ -10,7 +10,7 @@
 //! recovery action:
 //!
 //! * **Symptoms → faults.** Every gate-side plugin invocation is wrapped
-//!   in [`std::panic::catch_unwind`] (see [`run_isolated`]); a panic, or
+//!   in [`std::panic::catch_unwind`] (see `run_isolated`); a panic, or
 //!   a call charging more than [`FaultPolicy::packet_budget_ns`] of
 //!   simulated time, is one fault. Nothing reports clean calls, so a
 //!   degraded instance stays degraded until it is restarted.

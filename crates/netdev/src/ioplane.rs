@@ -430,10 +430,11 @@ impl<P: IoRouter> IoPlane<P> {
     ///
     /// * every frame read became a counted packet:
     ///   `device_rx == stats.received`;
-    /// * every forwarded packet left through a device:
+    /// * every forwarded frame left through a device:
     ///   `forwarded == device_tx`;
-    /// * nothing is unaccounted:
-    ///   `device_rx == device_tx + Σdrops`.
+    /// * nothing is unaccounted: [`DataPathStats::ledger_gap`] is 0, i.e.
+    ///   `device_rx + fragment_extra_frames == device_tx + Σdrops`
+    ///   (each IPv4 fragment is a frame of its own on the wire).
     pub fn check_conservation(&self) {
         let stats = self.plane.io_stats();
         let led = self.ledger;
@@ -448,10 +449,11 @@ impl<P: IoRouter> IoPlane<P> {
             stats.forwarded, led.device_tx
         );
         assert_eq!(
+            stats.ledger_gap(),
+            0,
+            "conservation: device_rx ({}) + fragment extra frames ({}) != device_tx ({}) + drops ({})",
             led.device_rx,
-            led.device_tx + stats.dropped_total(),
-            "conservation: device_rx ({}) != device_tx ({}) + drops ({})",
-            led.device_rx,
+            stats.fragment_extra_frames,
             led.device_tx,
             stats.dropped_total()
         );

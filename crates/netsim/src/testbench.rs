@@ -6,6 +6,7 @@
 //! packet was output").
 
 use crate::traffic::Workload;
+use router_core::dataplane::ShardReport;
 use router_core::ip_core::Disposition;
 use router_core::monolithic::{AltqDrrRouter, BestEffortRouter};
 use router_core::{ParallelRouter, Router};
@@ -274,45 +275,13 @@ impl Testbench {
             }
         }
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        let after = router.shard_reports();
-
-        let mut stats = ParallelRunStats {
-            wall_ns,
-            ..ParallelRunStats::default()
-        };
-        for (b, a) in before.iter().zip(&after) {
-            // All diffs saturate: a shard restarted by the supervisor
-            // mid-run comes back with fresh counters, which must read as
-            // "no progress observed", not as an underflow panic.
-            let pkts = a.packets.saturating_sub(b.packets);
-            // Prefer the thread CPU clock (immune to preemption inflation
-            // when shards outnumber host cores); it has ~10 ms
-            // granularity, so short runs that round to zero fall back to
-            // the fine-grained in-path wall measure.
-            let cpu = a.cpu_ns.saturating_sub(b.cpu_ns);
-            let busy = if cpu > 0 {
-                cpu
-            } else {
-                a.busy_ns.saturating_sub(b.busy_ns)
-            };
-            stats.packets += pkts;
-            stats.forwarded += a.data.forwarded.saturating_sub(b.data.forwarded);
-            stats.dropped += a
-                .data
-                .dropped_total()
-                .saturating_sub(b.data.dropped_total());
-            stats.total_busy_ns += busy;
-            stats.max_shard_busy_ns = stats.max_shard_busy_ns.max(busy);
-            stats.shard_packets.push(pkts);
-            stats.shard_busy_ns.push(busy);
-        }
-        stats
+        shard_diff(&before, &router.shard_reports(), wall_ns)
     }
 
     /// [`run_parallel`](Testbench::run_parallel) on the batched fast
     /// path: ingress mbufs come from the dispatcher's buffer pool, up to
     /// `batch` packets are handed to [`ParallelRouter::receive_batch`]
-    /// per call (one channel send per shard touched instead of one per
+    /// per call (one ring push per shard touched instead of one per
     /// packet), and transmitted packets are recycled after each
     /// repetition. `batch == 1` degenerates to per-packet dispatch
     /// through the same entry point.
@@ -343,32 +312,7 @@ impl Testbench {
             }
         }
         let wall_ns = t0.elapsed().as_nanos() as u64;
-        let after = router.shard_reports();
-
-        let mut stats = ParallelRunStats {
-            wall_ns,
-            ..ParallelRunStats::default()
-        };
-        for (b, a) in before.iter().zip(&after) {
-            let pkts = a.packets.saturating_sub(b.packets);
-            let cpu = a.cpu_ns.saturating_sub(b.cpu_ns);
-            let busy = if cpu > 0 {
-                cpu
-            } else {
-                a.busy_ns.saturating_sub(b.busy_ns)
-            };
-            stats.packets += pkts;
-            stats.forwarded += a.data.forwarded.saturating_sub(b.data.forwarded);
-            stats.dropped += a
-                .data
-                .dropped_total()
-                .saturating_sub(b.data.dropped_total());
-            stats.total_busy_ns += busy;
-            stats.max_shard_busy_ns = stats.max_shard_busy_ns.max(busy);
-            stats.shard_packets.push(pkts);
-            stats.shard_busy_ns.push(busy);
-        }
-        stats
+        shard_diff(&before, &router.shard_reports(), wall_ns)
     }
 
     /// Replay through the best-effort baseline.
@@ -419,6 +363,42 @@ impl Testbench {
         }
         stats
     }
+}
+
+/// Per-shard progress between two `shard_reports` snapshots taken
+/// around a parallel run of `wall_ns`.
+fn shard_diff(before: &[ShardReport], after: &[ShardReport], wall_ns: u64) -> ParallelRunStats {
+    let mut stats = ParallelRunStats {
+        wall_ns,
+        ..ParallelRunStats::default()
+    };
+    for (b, a) in before.iter().zip(after) {
+        // All diffs saturate: a shard restarted by the supervisor
+        // mid-run comes back with fresh counters, which must read as
+        // "no progress observed", not as an underflow panic.
+        let pkts = a.packets.saturating_sub(b.packets);
+        // Prefer the thread CPU clock (immune to preemption inflation
+        // when shards outnumber host cores); it has ~10 ms granularity,
+        // so short runs that round to zero fall back to the fine-grained
+        // in-path wall measure.
+        let cpu = a.cpu_ns.saturating_sub(b.cpu_ns);
+        let busy = if cpu > 0 {
+            cpu
+        } else {
+            a.busy_ns.saturating_sub(b.busy_ns)
+        };
+        stats.packets += pkts;
+        stats.forwarded += a.data.forwarded.saturating_sub(b.data.forwarded);
+        stats.dropped += a
+            .data
+            .dropped_total()
+            .saturating_sub(b.data.dropped_total());
+        stats.total_busy_ns += busy;
+        stats.max_shard_busy_ns = stats.max_shard_busy_ns.max(busy);
+        stats.shard_packets.push(pkts);
+        stats.shard_busy_ns.push(busy);
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -18,6 +18,8 @@ use router_plugins::netdev::tap::TapDev;
 use router_plugins::netdev::{IoPlane, NetDev, NetDevError};
 use router_plugins::netsim::testbench::Testbench;
 use router_plugins::netsim::traffic::{v6_host, Workload};
+use router_plugins::packet::builder::PacketSpec;
+use router_plugins::packet::ipv4::Ipv4Packet;
 use router_plugins::packet::{FlowTuple, Mbuf};
 use std::collections::HashMap;
 
@@ -172,6 +174,86 @@ fn parallel_loopback_round_trip_conserves_per_flow() {
             "per-flow bytes/order diverged for {flow:?}"
         );
     }
+    plane.check_conservation();
+}
+
+// ---------------------------------------------------------------------
+// Egress fragmentation: N frames on the wire, one datagram received
+// ---------------------------------------------------------------------
+
+const FRAG_MTU: usize = 600;
+
+fn frag_router_config() -> RouterConfig {
+    RouterConfig {
+        verify_checksums: false,
+        mtu: FRAG_MTU,
+        ..RouterConfig::default()
+    }
+}
+
+/// One 1400-byte-payload IPv4/UDP datagram with DF cleared, routed out
+/// interface 1 whose MTU forces fragmentation.
+fn oversized_v4_datagram() -> Vec<u8> {
+    let src = "10.0.0.1".parse().unwrap();
+    let dst = "10.0.0.9".parse().unwrap();
+    let mut d = PacketSpec::udp(src, dst, 4000, 5000, 1400).build();
+    d[6] &= !0x40;
+    Ipv4Packet::new_unchecked(&mut d[..]).fill_checksum();
+    d
+}
+
+#[test]
+fn fragmented_datagram_conserves_on_router_parallel_and_ioplane() {
+    let datagram = oversized_v4_datagram();
+
+    // Single router.
+    let mut r = Router::new(frag_router_config());
+    r.add_route("10.0.0.0".parse().unwrap(), 8, 1);
+    r.receive(Mbuf::new(datagram.clone(), 0));
+    let frames = r.take_tx(1).len();
+    assert!(frames >= 3, "got {frames} fragments");
+    let s = r.stats();
+    assert_eq!((s.received, s.forwarded), (1, frames as u64));
+    assert_eq!(s.fragment_extra_frames, frames as u64 - 1);
+    assert_eq!(s.ledger_gap(), 0, "single router: {s:?}");
+
+    // Two-shard parallel router.
+    let mut par = ParallelRouter::new(
+        ParallelRouterConfig {
+            shards: 2,
+            router: frag_router_config(),
+            ..ParallelRouterConfig::default()
+        },
+        &router_plugins::core::loader::PluginLoader::new(),
+    );
+    run_command(&mut par, "route 10.0.0.0/8 1").unwrap();
+    par.receive(Mbuf::new(datagram.clone(), 0));
+    par.flush();
+    assert_eq!(par.take_tx(1).len(), frames);
+    let s = par.stats();
+    assert_eq!(s.ledger_gap(), 0, "parallel router: {s:?}");
+
+    // I/O plane over loopback devices.
+    let mut r = Router::new(frag_router_config());
+    r.add_route("10.0.0.0".parse().unwrap(), 8, 1);
+    let (ingress, _pi) = LoopbackDev::pair("lo-in", "peer-in", 64);
+    let (egress, _po) = LoopbackDev::pair("lo-out", "peer-out", 64);
+    let in_handle = ingress.handle();
+    let out_handle = egress.handle();
+    let mut plane = IoPlane::new(r, 64);
+    plane.bind(0, Box::new(ingress));
+    plane.bind(1, Box::new(egress));
+    assert!(in_handle.inject(&datagram));
+    plane.poll_until_quiet(2, 1_000);
+    let mut wire = Vec::new();
+    while let Some(f) = out_handle.drain_tx() {
+        assert!(f.len() <= FRAG_MTU);
+        wire.push(f);
+    }
+    assert_eq!(wire.len(), frames);
+    assert_eq!(plane.ledger().device_tx, frames as u64);
+    let s = plane.plane().stats();
+    assert_eq!(s.ledger_gap(), 0, "I/O plane: {s:?}");
     plane.check_conservation();
 }
 

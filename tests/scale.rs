@@ -15,7 +15,7 @@ use router_plugins::core::ip_core::Disposition;
 use router_plugins::core::plugins::register_builtin_factories;
 use router_plugins::core::pmgr::run_script;
 use router_plugins::core::{
-    ControlPlane, DispatchMode, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
+    ControlPlane, ParallelRouter, ParallelRouterConfig, Router, RouterConfig,
 };
 use router_plugins::packet::builder::PacketSpec;
 use router_plugins::packet::{FlowTuple, Mbuf};
@@ -258,7 +258,6 @@ fn parallel_plane_matches_single_under_resize_and_route_churn() {
                 ..RouterConfig::default()
             },
             ingress_depth: 256,
-            dispatch: DispatchMode::Ring,
             ..ParallelRouterConfig::default()
         },
         &template,
